@@ -1,10 +1,9 @@
-// Ablation (google-benchmark): the four exact placement backends on random
+// Ablation (google-benchmark): the three exact placement backends on random
 // transportation instances of growing size. All return the same optimum
 // (asserted in tests); this bench quantifies the cost of generality —
-// transportation simplex < min-cost-flow << general simplex/B&B.
+// transportation simplex < min-cost-flow << general simplex.
 #include <benchmark/benchmark.h>
 
-#include "solver/branch_and_bound.hpp"
 #include "solver/min_cost_flow.hpp"
 #include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
@@ -44,14 +43,6 @@ void BM_Simplex(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(solver::solve_simplex(lp));
 }
 
-void BM_BranchAndBound(benchmark::State& state) {
-  const auto p = make_instance(static_cast<std::size_t>(state.range(0)),
-                               static_cast<std::size_t>(state.range(1)), 42);
-  const solver::LinearProgram lp = solver::to_linear_program(p);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(solver::solve_branch_and_bound(lp));
-}
-
 void BM_MinCostFlow(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
@@ -77,7 +68,6 @@ void SolverSizes(benchmark::internal::Benchmark* bench) {
 BENCHMARK(BM_Transportation)->Apply(SolverSizes);
 BENCHMARK(BM_MinCostFlow)->Apply(SolverSizes);
 BENCHMARK(BM_Simplex)->Apply(SolverSizes);
-BENCHMARK(BM_BranchAndBound)->Apply(SolverSizes);
 
 }  // namespace
 

@@ -69,8 +69,7 @@ std::vector<Violation> cross_check_solvers(const core::PlacementProblem& problem
   std::vector<Run> runs;
   for (core::SolverBackend backend :
        {core::SolverBackend::kTransportation, core::SolverBackend::kSimplex,
-        core::SolverBackend::kMinCostFlow,
-        core::SolverBackend::kBranchAndBound}) {
+        core::SolverBackend::kMinCostFlow}) {
     core::OptimizerOptions opt;
     opt.backend = backend;
     const core::OptimizationEngine engine(opt);

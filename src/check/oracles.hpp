@@ -2,8 +2,8 @@
 // computing the same answer, cross-checked on randomly generated instances.
 //
 //   O1 solver agreement   transportation simplex vs general simplex vs
-//                         min-cost-flow vs branch-and-bound: same
-//                         feasibility verdict, same optimal objective
+//                         min-cost-flow: same feasibility verdict, same
+//                         optimal objective
 //   O2 exact ground truth brute-force vertex enumeration (solver/exhaustive)
 //                         on small instances
 //   O3 warm vs cold       a warm-started re-solve must reproduce the cold

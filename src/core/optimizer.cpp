@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "solver/branch_and_bound.hpp"
 #include "solver/min_cost_flow.hpp"
 #include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
@@ -135,16 +134,16 @@ const char* to_string(SolverBackend backend) noexcept {
     case SolverBackend::kTransportation: return "transportation";
     case SolverBackend::kSimplex: return "simplex";
     case SolverBackend::kMinCostFlow: return "min-cost-flow";
-    case SolverBackend::kBranchAndBound: return "branch-and-bound";
   }
   return "?";
 }
 
 namespace {
 
-// Engine-level solve metrics; per-backend detail (simplex iterations, B&B
-// node counts) is recorded inside dust::solver itself. Handles are magic
-// statics so parallel iteration sweeps only pay relaxed atomics per solve.
+// Engine-level solve metrics; per-backend detail (simplex iterations, the
+// transportation start/pivot split) is recorded inside dust::solver itself.
+// Handles are magic statics so parallel iteration sweeps only pay relaxed
+// atomics per solve.
 struct EngineMetrics {
   obs::Counter& solves;
   obs::Counter& infeasible;
@@ -216,6 +215,9 @@ PlacementResult OptimizationEngine::solve(const PlacementProblem& problem) const
   if (result.status == solver::Status::kInfeasible && options_.allow_partial) {
     metrics.partial.inc();
     PlacementResult partial = solve_partial(problem);
+    // The failed exact attempt is part of this cycle's solve cost.
+    partial.solve_seconds += result.solve_seconds;
+    partial.solver_iterations += result.solver_iterations;
     partial.paths_explored = problem.paths_explored;
     metrics.solve_ms.observe(partial.solve_seconds * 1e3);
     metrics.iterations.observe(static_cast<double>(partial.solver_iterations));
@@ -240,18 +242,6 @@ PlacementResult OptimizationEngine::solve_exact(
       const solver::LinearProgram lp =
           solver::to_linear_program(to_transportation(problem));
       const solver::Solution s = solver::solve_simplex(lp);
-      result.status = s.status;
-      result.solver_iterations = s.iterations;
-      if (s.optimal()) {
-        result.objective = s.objective;
-        extract_assignments(problem, s.values, result);
-      }
-      break;
-    }
-    case SolverBackend::kBranchAndBound: {
-      const solver::LinearProgram lp =
-          solver::to_linear_program(to_transportation(problem));
-      const solver::Solution s = solver::solve_branch_and_bound(lp);
       result.status = s.status;
       result.solver_iterations = s.iterations;
       if (s.optimal()) {

@@ -13,7 +13,6 @@ enum class SolverBackend {
   kTransportation,  ///< dedicated transportation simplex (default, fastest)
   kSimplex,         ///< general two-phase simplex on the LP form
   kMinCostFlow,     ///< successive-shortest-paths on the bipartite graph
-  kBranchAndBound,  ///< MILP path (identical result; model is continuous)
 };
 
 [[nodiscard]] const char* to_string(SolverBackend backend) noexcept;

@@ -1,6 +1,6 @@
 // Exhaustive transportation oracle: provably optimal reference for tiny
 // instances, used by the dust::check differential tests to validate the
-// production solvers (transportation simplex, general simplex, MCMF, B&B)
+// production solvers (transportation simplex, general simplex, MCMF)
 // against ground truth.
 //
 // The instance is balanced with a zero-cost dummy source row (exactly as

@@ -7,6 +7,9 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "util/timer.hpp"
+
 namespace dust::solver {
 
 namespace {
@@ -24,14 +27,27 @@ struct Balanced {
   std::vector<double> cost;
   double big_m = 0.0;
   bool has_dummy = false;
+};
 
-  [[nodiscard]] double& at(std::vector<double>& grid, std::size_t i,
-                           std::size_t j) const {
-    return grid[i * n + j];
+// Solve-phase timings; magic statics so a solve pays two relaxed atomics.
+struct SolveMetrics {
+  obs::Histogram& start_ms;
+  obs::Histogram& pivot_ms;
+  static SolveMetrics& get() {
+    obs::MetricRegistry& registry = obs::MetricRegistry::global();
+    static SolveMetrics metrics{registry.histogram("dust_solver_start_ms"),
+                                registry.histogram("dust_solver_pivot_ms")};
+    return metrics;
   }
 };
 
-/// MODI / u-v transportation simplex over a balanced instance.
+using Arc = TransportationBasis::Cell;
+
+/// MODI / u-v transportation simplex over a balanced instance. The basis is
+/// kept as what it is, a spanning tree over m row nodes [0, m) and n column
+/// nodes [m, m+n) with one arc per basic cell, so the potentials and the
+/// entering cycle each take one O(m+n) tree walk; only pricing scans the
+/// m*n grid.
 class TransportSimplex {
  public:
   /// `warm_cells`, when non-null, flags cells to allocate first in the
@@ -40,26 +56,26 @@ class TransportSimplex {
                             const std::vector<char>* warm_cells = nullptr)
       : bal_(bal),
         warm_cells_(warm_cells),
-        flow_(bal.m * bal.n, 0.0),
-        basic_(bal.m * bal.n, 0) {}
+        basic_(bal.m * bal.n, 0),
+        adj_(bal.m + bal.n),
+        pot_(bal.m + bal.n, 0.0),
+        pred_(bal.m + bal.n, kNone),
+        depth_(bal.m + bal.n, 0) {}
 
-  /// Adopt a previous solve's flows and basis membership instead of building
-  /// an initial solution (dirty-basis path). The caller guarantees the seed
-  /// was optimal for the same balanced supplies/demands; solve() then skips
-  /// least_cost_start and goes straight to potentials + pivots.
-  void seed_basis(const std::vector<double>& flow,
-                  const std::vector<char>& basic) {
-    flow_ = flow;
-    basic_ = basic;
-    seeded_ = true;
+  /// Least-cost start, completed to a spanning tree.
+  void initial_basis() {
+    least_cost_start();
+    repair_basis_tree();
+  }
+
+  /// Adopt a previous optimal solve's basis tree instead (dirty-basis path).
+  /// The caller guarantees it was solved under the same balanced supplies
+  /// and demands, so its flows are primal-feasible here.
+  void seed_basis(const std::vector<Arc>& arcs) {
+    for (const Arc& arc : arcs) add_arc(arc.index, arc.flow);
   }
 
   Status solve(std::size_t max_iterations) {
-    if (!seeded_) least_cost_start();
-    // Always repair: a retained basis can have lost tree-ness to degenerate
-    // pivots, and repair is a cheap union-find sweep that is a no-op on a
-    // healthy spanning tree.
-    repair_basis_tree();
     // Dantzig's rule can cycle forever on degenerate instances (exact
     // supply/capacity ties, zero-capacity columns): every pivot has theta=0
     // and the same bases repeat. After a streak of m+n degenerate pivots,
@@ -86,11 +102,22 @@ class TransportSimplex {
     return Status::kIterationLimit;
   }
 
-  [[nodiscard]] const std::vector<double>& flow() const noexcept { return flow_; }
-  [[nodiscard]] const std::vector<char>& basic() const noexcept { return basic_; }
+  [[nodiscard]] const std::vector<Arc>& arcs() const noexcept { return arcs_; }
   [[nodiscard]] std::size_t iterations() const noexcept { return iterations_; }
 
  private:
+  void add_arc(std::size_t cell, double flow) {
+    adj_[cell / bal_.n].push_back(arcs_.size());
+    adj_[bal_.m + cell % bal_.n].push_back(arcs_.size());
+    arcs_.push_back({cell, flow});
+    basic_[cell] = 1;
+  }
+
+  [[nodiscard]] std::size_t other_end(std::size_t arc, std::size_t node) const {
+    const std::size_t row = arcs_[arc].index / bal_.n;
+    return node == row ? bal_.m + arcs_[arc].index % bal_.n : row;
+  }
+
   // Least-cost method: repeatedly allocate to the cheapest open cell. With a
   // warm hint, previously-used cells are allocated first (cheapest first
   // among them) so the start reproduces the prior basis structure wherever
@@ -112,86 +139,51 @@ class TransportSimplex {
       const std::size_t j = cell % bal_.n;
       if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
       const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
-      flow_[cell] = quantity;
-      basic_[cell] = 1;
+      add_arc(cell, quantity);
       remaining_supply[i] -= quantity;
       remaining_demand[j] -= quantity;
     }
   }
 
-  // The basis must be a spanning tree on the bipartite row/col node set with
-  // exactly m + n - 1 cells. The least-cost start can be degenerate (fewer
-  // cells) or accidentally contain a cycle-free subset already; add zero
-  // cells until the bipartite graph is connected and acyclic.
+  // The basis must be a spanning tree with exactly m + n - 1 cells. The
+  // least-cost start is acyclic (each allocation exhausts its row or its
+  // column) but degenerate instances leave it short of cells; connect the
+  // components with zero-flow cells, scanning in row-major order.
   void repair_basis_tree() {
-    // Union-find over m + n nodes (rows then cols).
-    parent_.resize(bal_.m + bal_.n);
-    std::iota(parent_.begin(), parent_.end(), 0);
-    std::size_t basic_count = 0;
-    for (std::size_t i = 0; i < bal_.m; ++i) {
-      for (std::size_t j = 0; j < bal_.n; ++j) {
-        if (!basic_[i * bal_.n + j]) continue;
-        if (!unite(i, bal_.m + j)) {
-          // Cycle among basic cells (possible with ties): demote to nonbasic.
-          basic_[i * bal_.n + j] = 0;
-          // Note: flow stays; a cycle of equal-cost cells keeps feasibility.
-        } else {
-          ++basic_count;
-        }
-      }
-    }
-    // Connect remaining components with zero-flow basic cells, preferring
-    // cheap cells so potentials stay tame.
-    for (std::size_t i = 0; i < bal_.m && basic_count + 1 < bal_.m + bal_.n; ++i) {
-      for (std::size_t j = 0; j < bal_.n && basic_count + 1 < bal_.m + bal_.n; ++j) {
-        if (basic_[i * bal_.n + j]) continue;
-        if (unite(i, bal_.m + j)) {
-          basic_[i * bal_.n + j] = 1;
-          ++basic_count;
-        }
-      }
-    }
+    std::vector<std::size_t> parent(bal_.m + bal_.n);
+    std::iota(parent.begin(), parent.end(), 0);
+    const auto unite = [&parent](std::size_t a, std::size_t b) {
+      while (parent[a] != a) a = parent[a] = parent[parent[a]];
+      while (parent[b] != b) b = parent[b] = parent[parent[b]];
+      if (a == b) return false;
+      parent[a] = b;
+      return true;
+    };
+    for (const Arc& arc : arcs_)
+      unite(arc.index / bal_.n, bal_.m + arc.index % bal_.n);
+    for (std::size_t cell = 0;
+         cell < bal_.m * bal_.n && arcs_.size() + 1 < bal_.m + bal_.n; ++cell)
+      if (!basic_[cell] && unite(cell / bal_.n, bal_.m + cell % bal_.n))
+        add_arc(cell, 0.0);
   }
 
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  bool unite(std::size_t a, std::size_t b) {
-    const std::size_t ra = find(a);
-    const std::size_t rb = find(b);
-    if (ra == rb) return false;
-    parent_[ra] = rb;
-    return true;
-  }
-
-  // Potentials u_i + v_j = c_ij on basic cells; tree traversal from row 0.
+  // Potentials u_i + v_j = c_ij on basic cells (pot_[i] = u_i, pot_[m+j] =
+  // v_j) by one walk of the tree from row 0, which also records each node's
+  // parent arc and depth for the cycle search. A node's potential follows
+  // from its parent's along the unique tree path, so the values do not
+  // depend on the visiting order.
   void compute_potentials() {
-    u_.assign(bal_.m, 0.0);
-    v_.assign(bal_.n, 0.0);
-    std::vector<char> u_set(bal_.m, 0), v_set(bal_.n, 0);
-    u_set[0] = 1;
-    // Relaxation sweeps; the basis is a tree so m+n-1 sweeps suffice, and in
-    // practice it converges in a handful.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t i = 0; i < bal_.m; ++i) {
-        for (std::size_t j = 0; j < bal_.n; ++j) {
-          if (!basic_[i * bal_.n + j]) continue;
-          if (u_set[i] && !v_set[j]) {
-            v_[j] = bal_.cost[i * bal_.n + j] - u_[i];
-            v_set[j] = 1;
-            progress = true;
-          } else if (!u_set[i] && v_set[j]) {
-            u_[i] = bal_.cost[i * bal_.n + j] - v_[j];
-            u_set[i] = 1;
-            progress = true;
-          }
-        }
+    order_.assign(1, 0);
+    pred_[0] = kNone;
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+      const std::size_t node = order_[k];
+      for (std::size_t arc : adj_[node]) {
+        if (arc == pred_[node]) continue;
+        const std::size_t child = other_end(arc, node);
+        pred_[child] = arc;
+        depth_[child] = depth_[node] + 1;
+        pot_[child] = bal_.cost[arcs_[arc].index] - pot_[node];
+        order_.push_back(child);
       }
     }
   }
@@ -205,17 +197,21 @@ class TransportSimplex {
   [[nodiscard]] double reduced_cost_tolerance(std::size_t i,
                                               std::size_t j) const {
     return kEps + 1e-12 * (std::abs(bal_.cost[i * bal_.n + j]) +
-                           std::abs(u_[i]) + std::abs(v_[j]));
+                           std::abs(pot_[i]) + std::abs(pot_[bal_.m + j]));
   }
 
   [[nodiscard]] std::tuple<std::size_t, std::size_t, double>
   most_negative_cell() const {
     double best = 0.0;
     std::size_t bi = 0, bj = 0;
+    const double* v = pot_.data() + bal_.m;
     for (std::size_t i = 0; i < bal_.m; ++i) {
+      const double u = pot_[i];
+      const double* cost = bal_.cost.data() + i * bal_.n;
+      const char* basic = basic_.data() + i * bal_.n;
       for (std::size_t j = 0; j < bal_.n; ++j) {
-        if (basic_[i * bal_.n + j]) continue;
-        const double reduced = bal_.cost[i * bal_.n + j] - u_[i] - v_[j];
+        if (basic[j]) continue;
+        const double reduced = cost[j] - u - v[j];
         if (reduced < best && reduced < -reduced_cost_tolerance(i, j)) {
           best = reduced;
           bi = i;
@@ -233,103 +229,83 @@ class TransportSimplex {
     for (std::size_t i = 0; i < bal_.m; ++i) {
       for (std::size_t j = 0; j < bal_.n; ++j) {
         if (basic_[i * bal_.n + j]) continue;
-        const double reduced = bal_.cost[i * bal_.n + j] - u_[i] - v_[j];
+        const double reduced =
+            bal_.cost[i * bal_.n + j] - pot_[i] - pot_[bal_.m + j];
         if (reduced < -reduced_cost_tolerance(i, j)) return {i, j, reduced};
       }
     }
     return {0, 0, 0.0};
   }
 
-  // Find the unique alternating cycle created by adding (enter_i, enter_j)
-  // to the basis tree, shift flow around it, and swap basis membership.
-  // Returns theta, the amount of flow shifted (0 on a degenerate pivot).
+  // Adding (enter_i, enter_j) closes one cycle: the tree path from row
+  // enter_i to column enter_j, plus the entering cell. Walk both ends up to
+  // their common ancestor, shift theta around the cycle, and swap the
+  // leaving arc for the entering cell. Returns theta (0 on a degenerate
+  // pivot).
   double pivot(std::size_t enter_i, std::size_t enter_j) {
-    // DFS in the bipartite basis graph from row enter_i to col enter_j.
-    // Nodes: rows [0, m), cols [m, m+n).
-    const std::size_t start = enter_i;
-    const std::size_t goal = bal_.m + enter_j;
-    std::vector<std::size_t> stack{start};
-    std::vector<std::size_t> prev(bal_.m + bal_.n, static_cast<std::size_t>(-1));
-    std::vector<char> seen(bal_.m + bal_.n, 0);
-    seen[start] = 1;
-    while (!stack.empty()) {
-      const std::size_t node = stack.back();
-      stack.pop_back();
-      if (node == goal) break;
-      if (node < bal_.m) {
-        const std::size_t i = node;
-        for (std::size_t j = 0; j < bal_.n; ++j) {
-          if (!basic_[i * bal_.n + j]) continue;
-          const std::size_t next = bal_.m + j;
-          if (!seen[next]) {
-            seen[next] = 1;
-            prev[next] = node;
-            stack.push_back(next);
-          }
-        }
+    path_.clear();
+    down_.clear();
+    std::size_t a = enter_i;
+    std::size_t b = bal_.m + enter_j;
+    while (a != b) {
+      if (depth_[a] >= depth_[b]) {
+        path_.push_back(pred_[a]);
+        a = other_end(pred_[a], a);
       } else {
-        const std::size_t j = node - bal_.m;
-        for (std::size_t i = 0; i < bal_.m; ++i) {
-          if (!basic_[i * bal_.n + j]) continue;
-          if (!seen[i]) {
-            seen[i] = 1;
-            prev[i] = node;
-            stack.push_back(i);
-          }
-        }
+        down_.push_back(pred_[b]);
+        b = other_end(pred_[b], b);
       }
     }
-    // Reconstruct node path goal -> start, then build the cell cycle.
-    std::vector<std::size_t> node_path;
-    for (std::size_t node = goal; node != static_cast<std::size_t>(-1);
-         node = prev[node])
-      node_path.push_back(node);
-    std::reverse(node_path.begin(), node_path.end());  // start ... goal
-    // Cycle cells alternate starting with the entering cell (+):
-    // (enter_i, enter_j) then edges along node_path back from goal..start?
-    // node_path is start(row) -> ... -> goal(col); consecutive nodes share a
-    // basic cell. Walking it gives cells with alternating signs beginning
-    // with '-', since the entering '+' cell closes the loop goal->start.
-    std::vector<std::pair<std::size_t, std::size_t>> minus_cells, plus_cells;
-    plus_cells.emplace_back(enter_i, enter_j);
-    bool minus = true;
-    for (std::size_t s = 0; s + 1 < node_path.size(); ++s) {
-      const std::size_t a = node_path[s];
-      const std::size_t b = node_path[s + 1];
-      const std::size_t i = a < bal_.m ? a : b;
-      const std::size_t j = (a < bal_.m ? b : a) - bal_.m;
-      (minus ? minus_cells : plus_cells).emplace_back(i, j);
-      minus = !minus;
-    }
-    // Theta = min flow on minus cells. Under Bland's rule ties break toward
-    // the lowest cell index (required for the anti-cycling guarantee).
+    path_.insert(path_.end(), down_.rbegin(), down_.rend());
+    // Walking from enter_i, path cells alternate '-', '+', ... (the entering
+    // cell is the '+' that closes the loop). Theta = min flow on the '-'
+    // cells, first along the path on ties; under Bland's rule ties break
+    // toward the lowest cell index (required for the anti-cycling guarantee).
     double theta = kInfinity;
-    std::pair<std::size_t, std::size_t> leaving{0, 0};
-    for (const auto& [i, j] : minus_cells) {
-      const double f = flow_[i * bal_.n + j];
-      const bool tie_wins = bland_ && f == theta &&
-                            i * bal_.n + j < leaving.first * bal_.n + leaving.second;
-      if (f < theta || tie_wins) {
-        theta = f;
-        leaving = {i, j};
+    std::size_t leaving = path_[0];
+    for (std::size_t k = 0; k < path_.size(); k += 2) {
+      const Arc& arc = arcs_[path_[k]];
+      const bool tie_wins =
+          bland_ && arc.flow == theta && arc.index < arcs_[leaving].index;
+      if (arc.flow < theta || tie_wins) {
+        theta = arc.flow;
+        leaving = path_[k];
       }
     }
-    for (const auto& [i, j] : plus_cells) flow_[i * bal_.n + j] += theta;
-    for (const auto& [i, j] : minus_cells) flow_[i * bal_.n + j] -= theta;
-    basic_[enter_i * bal_.n + enter_j] = 1;
-    basic_[leaving.first * bal_.n + leaving.second] = 0;
-    flow_[leaving.first * bal_.n + leaving.second] = 0.0;  // kill -0 noise
+    for (std::size_t k = 0; k < path_.size(); ++k) {
+      if (k % 2 == 0)
+        arcs_[path_[k]].flow -= theta;
+      else
+        arcs_[path_[k]].flow += theta;
+    }
+    // The entering cell takes over the leaving arc's slot.
+    const std::size_t cell = arcs_[leaving].index;
+    for (std::size_t node : {cell / bal_.n, bal_.m + cell % bal_.n}) {
+      std::vector<std::size_t>& list = adj_[node];
+      *std::find(list.begin(), list.end(), leaving) = list.back();
+      list.pop_back();
+    }
+    basic_[cell] = 0;
+    const std::size_t enter = enter_i * bal_.n + enter_j;
+    arcs_[leaving] = {enter, theta};
+    adj_[enter_i].push_back(leaving);
+    adj_[bal_.m + enter_j].push_back(leaving);
+    basic_[enter] = 1;
     return theta;
   }
 
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
   const Balanced& bal_;
   const std::vector<char>* warm_cells_ = nullptr;
-  bool seeded_ = false;
   bool bland_ = false;
-  std::vector<double> flow_;
-  std::vector<char> basic_;
-  std::vector<double> u_, v_;
-  std::vector<std::size_t> parent_;
+  std::vector<char> basic_;  ///< m*n basis membership, for pricing
+  std::vector<Arc> arcs_;    ///< basic cells and their flows
+  std::vector<std::vector<std::size_t>> adj_;  ///< node -> incident arcs
+  std::vector<double> pot_;         ///< u (rows) then v (columns)
+  std::vector<std::size_t> pred_;   ///< node -> arc to its tree parent
+  std::vector<std::size_t> depth_;  ///< node -> depth below row 0
+  std::vector<std::size_t> order_, path_, down_;  ///< walk scratch
   std::size_t iterations_ = 0;
 };
 
@@ -403,33 +379,44 @@ TransportationResult solve_impl(const TransportationProblem& problem,
       if ((*warm_flow)[cell] > kEps && problem.cost[cell] != kInfinity)
         warm_cells[cell] = 1;  // never prioritize a now-forbidden route
   }
+  // Two timer reads split the solve into the initial basis (least-cost
+  // start plus repair, or adopting the retained tree) and the pivot loop.
+  util::Timer timer;
   TransportSimplex simplex(bal, warm_cells.empty() ? nullptr : &warm_cells);
   if (dirty) {
-    simplex.seed_basis(basis->flow, basis->basic);
+    simplex.seed_basis(basis->cells);
     result.dirty_resolve = true;
+  } else {
+    simplex.initial_basis();
   }
+  const double start_seconds = timer.seconds();
   const std::size_t max_iterations = 100 * (bal.m + bal.n) * (bal.m + bal.n) + 1000;
   const Status status = simplex.solve(max_iterations);
+  const double pivot_seconds = timer.seconds() - start_seconds;
+  SolveMetrics& metrics = SolveMetrics::get();
+  metrics.start_ms.observe(start_seconds * 1e3);
+  metrics.pivot_ms.observe(pivot_seconds * 1e3);
   result.iterations = simplex.iterations();
   if (status != Status::kOptimal) {
     if (basis != nullptr) basis->valid = false;
     result.status = status;
     return result;
   }
-  // Check forbidden cells and extract the real flow grid.
-  double objective = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double f = simplex.flow()[i * bal.n + j];
-      if (f > kEps && problem.cost[i * n + j] == kInfinity) {
-        if (basis != nullptr) basis->valid = false;
-        result.status = Status::kInfeasible;  // needed a forbidden route
-        return result;
-      }
-      result.flow[i * n + j] = f;
-      if (f > 0) objective += f * problem.cost[i * n + j];
+  // Check forbidden cells and extract the real rows' flows (dummy-row cells
+  // index past m*n).
+  for (const Arc& arc : simplex.arcs()) {
+    if (arc.index < m * n && arc.flow > kEps &&
+        problem.cost[arc.index] == kInfinity) {
+      if (basis != nullptr) basis->valid = false;
+      result.status = Status::kInfeasible;  // needed a forbidden route
+      return result;
     }
   }
+  for (const Arc& arc : simplex.arcs())
+    if (arc.index < m * n) result.flow[arc.index] = arc.flow;
+  double objective = 0.0;
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    if (result.flow[cell] > 0) objective += result.flow[cell] * problem.cost[cell];
   result.objective = objective;
   result.status = Status::kOptimal;
   if (basis != nullptr) {
@@ -438,8 +425,7 @@ TransportationResult solve_impl(const TransportationProblem& problem,
     basis->n = bal.n;
     basis->supply = std::move(bal.supply);
     basis->demand = std::move(bal.demand);
-    basis->flow = simplex.flow();
-    basis->basic = simplex.basic();
+    basis->cells = simplex.arcs();
   }
   return result;
 }

@@ -1,4 +1,5 @@
-// Specialized transportation-problem solver (least-cost start + MODI).
+// Specialized transportation-problem solver (least-cost start + MODI on a
+// spanning-tree basis).
 //
 // Once Trmin(i,j) is known, DUST's placement LP (Eq. 3) *is* a transportation
 // problem: supplies Cs_i that must ship fully, destination capacities Cd_j,
@@ -9,6 +10,10 @@
 // Forbidden cells (no path within max-hop) carry cost = kInfinity; they are
 // handled via big-M internally and reported as infeasible if the optimum
 // would need them.
+//
+// Every solve that reaches the simplex records its two phases in the global
+// obs registry: dust_solver_start_ms (the initial basis) and
+// dust_solver_pivot_ms (the pivot loop).
 #pragma once
 
 #include <cstddef>
@@ -35,7 +40,7 @@ struct TransportationProblem {
 struct TransportationResult {
   Status status = Status::kInfeasible;
   double objective = 0.0;
-  std::vector<double> flow;  ///< row-major m*n
+  std::vector<double> flow;  ///< row-major m*n; all zero unless optimal
   std::size_t iterations = 0;
   /// True when the solve re-optimized from a retained basis (dirty-basis
   /// path) instead of building an initial solution from scratch.
@@ -60,17 +65,21 @@ TransportationResult solve_transportation(
     const std::vector<double>* warm_flow = nullptr);
 
 /// Retained simplex state for dirty-basis re-solves (DESIGN.md §13): the
-/// balanced instance's basis tree and flows as they stood at the end of an
-/// optimal solve. Treat the contents as opaque; default-construct once and
-/// hand the same object to successive solve_transportation_dirty calls.
+/// balanced instance's basis tree — its m+n-1 basic cells and their flows —
+/// as it stood at the end of an optimal solve. Treat the contents as opaque;
+/// default-construct once and hand the same object to successive
+/// solve_transportation_dirty calls.
 struct TransportationBasis {
+  struct Cell {
+    std::size_t index = 0;  ///< balanced row-major cell index i*n + j
+    double flow = 0.0;
+  };
   bool valid = false;
   std::size_t m = 0;  ///< balanced rows (includes the dummy row if present)
   std::size_t n = 0;
   std::vector<double> supply;  ///< balanced quantities the basis solved under
   std::vector<double> demand;
-  std::vector<double> flow;  ///< balanced m*n basic flows
-  std::vector<char> basic;   ///< balanced m*n basis membership
+  std::vector<Cell> cells;  ///< the basis tree's m+n-1 cells
 };
 
 /// Dirty-basis re-solve: when `basis` holds the previous solve's state and

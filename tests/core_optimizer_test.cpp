@@ -5,6 +5,7 @@
 #include "core/heuristic.hpp"
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
+#include "solver/min_cost_flow.hpp"
 
 namespace dust::core {
 namespace {
@@ -20,7 +21,6 @@ TEST(Optimizer, BackendNames) {
   EXPECT_STREQ(to_string(SolverBackend::kTransportation), "transportation");
   EXPECT_STREQ(to_string(SolverBackend::kSimplex), "simplex");
   EXPECT_STREQ(to_string(SolverBackend::kMinCostFlow), "min-cost-flow");
-  EXPECT_STREQ(to_string(SolverBackend::kBranchAndBound), "branch-and-bound");
 }
 
 TEST(Optimizer, NothingToOffloadIsOptimalEmpty) {
@@ -59,6 +59,45 @@ TEST(Optimizer, PartialModeShipsWhatFits) {
   EXPECT_NEAR(r.unplaced, 10.0, 1e-9);
 }
 
+// An infeasible exact solve that falls back to the partial solver costs
+// both attempts; the cycle's iterations and time must include the failed
+// exact pivots, not only the min-cost-flow augmentations.
+TEST(Optimizer, PartialFallbackCountsTheFailedExactAttempt) {
+  PlacementProblem p;
+  p.busy = {0, 1, 2};
+  p.candidates = {3, 4, 5};
+  p.cs = {5.0, 5.0, 5.0};
+  p.cd = {6.0, 6.0, 6.0};
+  const double inf = solver::kInfinity;
+  // Busy 0 and 1 only reach candidate 3, which fits 6 of their 10.
+  p.trmin = {1.0, inf, inf,
+             2.0, inf, inf,
+             3.0, 1.0, 2.0};
+  const PlacementResult exact = OptimizationEngine().solve(p);
+  ASSERT_EQ(exact.status, solver::Status::kInfeasible);
+  ASSERT_GT(exact.solver_iterations, 0u);
+
+  // The partial solve's min-cost max-flow, built as the engine builds it.
+  const std::size_t m = p.busy.size(), n = p.candidates.size();
+  solver::MinCostFlow mcf(m + n + 2);
+  for (std::size_t bi = 0; bi < m; ++bi) mcf.add_arc(m + n, bi, p.cs[bi], 0.0);
+  for (std::size_t bi = 0; bi < m; ++bi)
+    for (std::size_t cj = 0; cj < n; ++cj)
+      if (p.trmin[bi * n + cj] != inf)
+        mcf.add_arc(bi, m + cj, inf, p.trmin[bi * n + cj]);
+  for (std::size_t cj = 0; cj < n; ++cj)
+    mcf.add_arc(m + cj, m + n + 1, p.cd[cj], 0.0);
+  const std::size_t augmentations = mcf.solve(m + n, m + n + 1).augmentations;
+
+  OptimizerOptions options;
+  options.allow_partial = true;
+  const PlacementResult r = OptimizationEngine(options).solve(p);
+  ASSERT_TRUE(r.optimal());
+  EXPECT_NEAR(r.unplaced, 4.0, 1e-9);
+  EXPECT_EQ(r.solver_iterations, exact.solver_iterations + augmentations);
+  EXPECT_GT(r.solve_seconds, 0.0);
+}
+
 TEST(Optimizer, MaxHopUnreachabilityCausesInfeasible) {
   // Busy node whose only candidates are 2+ hops away, with max_hops = 1.
   net::NetworkState state(graph::make_ring(5));
@@ -79,7 +118,7 @@ TEST(Optimizer, MaxHopUnreachabilityCausesInfeasible) {
 
 class BackendAgreementSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Property: all four exact backends return the same objective, and their
+// Property: all three exact backends return the same objective, and their
 // solutions satisfy every placement constraint.
 TEST_P(BackendAgreementSweep, AllBackendsAgreeAndFeasible) {
   Nmdb nmdb = random_fat_tree_nmdb(4, GetParam());
@@ -91,7 +130,7 @@ TEST_P(BackendAgreementSweep, AllBackendsAgreeAndFeasible) {
   double reference = -1.0;
   for (SolverBackend backend :
        {SolverBackend::kTransportation, SolverBackend::kSimplex,
-        SolverBackend::kMinCostFlow, SolverBackend::kBranchAndBound}) {
+        SolverBackend::kMinCostFlow}) {
     OptimizerOptions options;
     options.backend = backend;
     const PlacementResult r = OptimizationEngine(options).solve(problem);

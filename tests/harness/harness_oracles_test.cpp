@@ -1,8 +1,8 @@
 // dust::check differential-oracle tests. The exhaustive basis enumerator is
 // the ground truth: on every instance small enough to enumerate, the
 // production transportation solver (and through cross_check_solvers, the
-// general simplex, min-cost-flow, and branch-and-bound backends) must agree
-// with it on both verdict and objective. The NMDB-level oracles (Trmin
+// general simplex and min-cost-flow backends) must agree with it on both
+// verdict and objective. The NMDB-level oracles (Trmin
 // cache, warm start, heuristic soundness) must come back clean on generated
 // scenarios.
 #include "check/oracles.hpp"

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "obs/metrics.hpp"
 #include "solver/simplex.hpp"
 #include "util/rng.hpp"
 
@@ -154,6 +155,27 @@ TEST(Transportation, DegenerateTiesTerminate) {
   const TransportationResult r = solve_transportation(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 6.0, 1e-9);
+}
+
+// Each simplex solve reports its two phases: building the initial basis and
+// the pivot loop. A solve that never reaches the simplex reports neither.
+TEST(Transportation, ExportsStartAndPivotTimes) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  obs::Histogram& start = registry.histogram("dust_solver_start_ms");
+  obs::Histogram& pivot = registry.histogram("dust_solver_pivot_ms");
+  const std::uint64_t starts = start.count();
+  const std::uint64_t pivots = pivot.count();
+  TransportationProblem p;
+  p.supply = {300, 400, 500};
+  p.capacity = {250, 350, 600};
+  p.cost = {3, 1, 7, 2, 6, 5, 8, 3, 3};
+  ASSERT_TRUE(solve_transportation(p).optimal());
+  EXPECT_EQ(start.count(), starts + 1);
+  EXPECT_EQ(pivot.count(), pivots + 1);
+  p.capacity = {1, 1, 1};  // short of supply: rejected before any pivot
+  EXPECT_EQ(solve_transportation(p).status, Status::kInfeasible);
+  EXPECT_EQ(start.count(), starts + 1);
+  EXPECT_EQ(pivot.count(), pivots + 1);
 }
 
 class TransportationRandomSweep

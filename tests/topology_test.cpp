@@ -9,8 +9,11 @@ namespace {
 
 // ---- fat-tree: the paper's exact switch/link counts (§V-B) ----
 
+// gtest prints a parameter without operator<< as its raw bytes, and those
+// bytes become the ctest test names. A 64-bit k leaves the struct without
+// padding, so every byte is initialised and the names are the same each run.
 struct FatTreeCounts {
-  std::uint32_t k;
+  std::uint64_t k;
   std::size_t nodes;
   std::size_t edges;
 };
@@ -19,19 +22,19 @@ class FatTreeSweep : public ::testing::TestWithParam<FatTreeCounts> {};
 
 TEST_P(FatTreeSweep, PaperNodeAndEdgeCounts) {
   const FatTreeCounts expected = GetParam();
-  const FatTree ft(expected.k);
+  const FatTree ft(static_cast<std::uint32_t>(expected.k));
   EXPECT_EQ(ft.graph().node_count(), expected.nodes);
   EXPECT_EQ(ft.graph().edge_count(), expected.edges);
 }
 
 TEST_P(FatTreeSweep, IsConnected) {
-  const FatTree ft(GetParam().k);
+  const FatTree ft(static_cast<std::uint32_t>(GetParam().k));
   EXPECT_TRUE(ft.graph().connected());
 }
 
 TEST_P(FatTreeSweep, LayerPopulations) {
-  const FatTree ft(GetParam().k);
-  const std::uint32_t k = GetParam().k;
+  const std::uint32_t k = static_cast<std::uint32_t>(GetParam().k);
+  const FatTree ft(k);
   std::size_t core = 0, agg = 0, edge = 0;
   for (NodeId v = 0; v < ft.graph().node_count(); ++v) {
     switch (ft.layer(v)) {
@@ -46,8 +49,8 @@ TEST_P(FatTreeSweep, LayerPopulations) {
 }
 
 TEST_P(FatTreeSweep, DegreeInvariants) {
-  const FatTree ft(GetParam().k);
-  const std::uint32_t k = GetParam().k;
+  const std::uint32_t k = static_cast<std::uint32_t>(GetParam().k);
+  const FatTree ft(k);
   for (NodeId v = 0; v < ft.graph().node_count(); ++v) {
     switch (ft.layer(v)) {
       case SwitchLayer::kCore:
