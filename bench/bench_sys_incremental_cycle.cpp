@@ -18,9 +18,16 @@
 //                   rows (no correct cache can serve those); the drift is
 //                   what Lu quantization must absorb.
 //
+// A fourth record times ResponseTimeCache::begin_cycle alone on the k=32
+// fat-tree, the cache sync a manager pays every placement period: 10% of
+// links jitter by up to 3% per cycle (all dirty at link epsilon 0), once
+// with no cached row and once with 32 shared-frontier rows re-cached
+// between syncs.
+//
 // Results land in BENCH_incremental_cycle.json, and the cache/warm counters
 // are printed via a dust::obs scrape so the speedup is attributable.
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -146,6 +153,43 @@ RunStats run_cycles(Pattern pattern, bool incremental, std::size_t cycles,
   return stats;
 }
 
+struct SyncRow {
+  std::size_t cached_rows = 0;
+  double ms_per_cycle = 0.0;  ///< begin_cycle alone
+  std::uint64_t invalidations = 0;
+};
+
+constexpr std::uint32_t kSyncK = 32;
+
+SyncRow run_sync_cycles(std::size_t cached_rows, std::size_t cycles) {
+  util::Rng rng(bench::base_seed());
+  const graph::FatTree topo(kSyncK);
+  net::NetworkState net(topo.graph());
+  for (graph::EdgeId e = 0; e < net.edge_count(); ++e)
+    net.set_link(e, net::LinkState{10000.0, rng.uniform(0.2, 0.9)});
+  net::ResponseTimeCache cache;
+  const net::ResponseTimeOptions options{4, net::EvaluatorMode::kSharedFrontier,
+                                         0};
+  cache.begin_cycle(net);
+  SyncRow row;
+  row.cached_rows = cached_rows;
+  for (std::size_t c = 0; c < cycles; ++c) {
+    // Re-cache the rows the last sync dropped (a hit for the survivors).
+    for (std::size_t i = 0; i < cached_rows; ++i)
+      (void)cache.row(net,
+                      static_cast<graph::NodeId>(i * net.node_count() /
+                                                 cached_rows),
+                      1.0, options);
+    jitter_links(net, rng, 0.10, 0.97, 1.03);
+    const util::Timer timer;
+    cache.begin_cycle(net);
+    row.ms_per_cycle += timer.millis();
+  }
+  row.ms_per_cycle /= static_cast<double>(cycles);
+  row.invalidations = cache.stats().invalidations;
+  return row;
+}
+
 struct ScenarioRow {
   Pattern pattern;
   RunStats cold;
@@ -173,7 +217,9 @@ constexpr double kLuQuantum = 0.50;
 /// the burst links still invalidate correctly, the drift stops repricing.
 constexpr double kRepriceEpsilon = 0.10;
 
-void write_json(const std::vector<ScenarioRow>& rows, std::size_t cycles) {
+void write_json(const std::vector<ScenarioRow>& rows, std::size_t cycles,
+                const std::vector<SyncRow>& sync_rows,
+                std::size_t sync_cycles) {
   // Shared dust-bench-v1 schema (see bench_common.hpp): flat records keyed
   // by metric + config so CI can diff against a baseline with one parser.
   bench::JsonReport json("incremental_cycle");
@@ -218,6 +264,18 @@ void write_json(const std::vector<ScenarioRow>& rows, std::size_t cycles) {
              static_cast<double>(row.quantized.cache.invalidations), "count",
              qconfig);
   }
+  const graph::FatTree sync_topo(kSyncK);
+  for (const SyncRow& row : sync_rows) {
+    const std::string config =
+        "topology=fat-tree-k32,nodes=" +
+        std::to_string(sync_topo.graph().node_count()) +
+        ",edges=" + std::to_string(sync_topo.graph().edge_count()) +
+        ",jitter=0.10,cycles=" + std::to_string(sync_cycles) +
+        ",cached_rows=" + std::to_string(row.cached_rows);
+    json.add("sync_ms_per_cycle", row.ms_per_cycle, "ms", config);
+    json.add("sync_invalidations", static_cast<double>(row.invalidations),
+             "count", config);
+  }
   json.write();
 }
 
@@ -254,7 +312,20 @@ int main() {
                row.quantized.cache.hit_rate(),
                static_cast<double>(row.incremental.warm_solves)});
   bench::emit(table);
-  write_json(rows, cycles);
+
+  const std::size_t sync_cycles = bench::iterations(100, 20);
+  std::vector<SyncRow> sync_rows;
+  for (std::size_t cached_rows : {std::size_t{0}, std::size_t{32}})
+    sync_rows.push_back(run_sync_cycles(cached_rows, sync_cycles));
+  util::Table sync_table("begin_cycle alone, k=32 fat-tree, 10% link jitter");
+  sync_table.set_precision(3).header(
+      {"cached rows", "sync ms/cycle", "invalidations"});
+  for (const SyncRow& row : sync_rows)
+    sync_table.row({static_cast<std::int64_t>(row.cached_rows),
+                    row.ms_per_cycle,
+                    static_cast<std::int64_t>(row.invalidations)});
+  bench::emit(sync_table);
+  write_json(rows, cycles, sync_rows, sync_cycles);
 
   // The obs scrape the acceptance criteria ask for: cache and warm/cold
   // counters accumulated across the incremental runs above.

@@ -1,7 +1,7 @@
 #include "graph/paths.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <set>
 #include <stdexcept>
 
@@ -16,22 +16,29 @@ double Path::cost(std::span<const double> edge_cost) const {
 }
 
 std::vector<std::uint32_t> bfs_hops(const Graph& graph, NodeId src) {
-  std::vector<std::uint32_t> dist(graph.node_count(), kUnreachable);
+  std::vector<std::uint32_t> dist;
+  bfs_hops_into(graph, src, dist);
+  return dist;
+}
+
+void bfs_hops_into(const Graph& graph, NodeId src,
+                   std::vector<std::uint32_t>& out) {
   if (src >= graph.node_count()) throw std::out_of_range("bfs_hops: src");
-  std::queue<NodeId> frontier;
-  dist[src] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop();
+  out.assign(graph.node_count(), kUnreachable);
+  // FIFO as a flat array: every node is enqueued at most once.
+  static thread_local std::vector<NodeId> frontier;
+  frontier.clear();
+  out[src] = 0;
+  frontier.push_back(src);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId node = frontier[head];
     for (const Adjacency& adj : graph.neighbors(node)) {
-      if (dist[adj.neighbor] == kUnreachable) {
-        dist[adj.neighbor] = dist[node] + 1;
-        frontier.push(adj.neighbor);
+      if (out[adj.neighbor] == kUnreachable) {
+        out[adj.neighbor] = out[node] + 1;
+        frontier.push_back(adj.neighbor);
       }
     }
   }
-  return dist;
 }
 
 Path ShortestPathTree::extract(const Graph& graph, NodeId src, NodeId dst) const {
@@ -50,33 +57,56 @@ Path ShortestPathTree::extract(const Graph& graph, NodeId src, NodeId dst) const
   return path;
 }
 
-ShortestPathTree dijkstra(const Graph& graph, NodeId src,
-                          std::span<const double> edge_cost) {
+namespace {
+
+// Dijkstra core shared by dijkstra() and dijkstra_distances_into();
+// `parent_edge` is filled when non-null. The heap storage persists per
+// thread, so the distances-only variant allocates nothing in steady state.
+void dijkstra_impl(const Graph& graph, NodeId src,
+                   std::span<const double> edge_cost,
+                   std::vector<double>& distance,
+                   std::vector<EdgeId>* parent_edge) {
   if (edge_cost.size() != graph.edge_count())
     throw std::invalid_argument("dijkstra: edge_cost size mismatch");
-  ShortestPathTree tree;
-  tree.distance.assign(graph.node_count(), kInfiniteCost);
-  tree.parent_edge.assign(graph.node_count(), kInvalidEdge);
+  distance.assign(graph.node_count(), kInfiniteCost);
+  if (parent_edge) parent_edge->assign(graph.node_count(), kInvalidEdge);
   using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  tree.distance.at(src) = 0.0;
-  heap.emplace(0.0, src);
+  static thread_local std::vector<Entry> heap;
+  heap.clear();
+  distance.at(src) = 0.0;
+  heap.emplace_back(0.0, src);
   while (!heap.empty()) {
-    const auto [dist, node] = heap.top();
-    heap.pop();
-    if (dist > tree.distance[node]) continue;  // stale entry
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [dist, node] = heap.back();
+    heap.pop_back();
+    if (dist > distance[node]) continue;  // stale entry
     for (const Adjacency& adj : graph.neighbors(node)) {
       const double cost = edge_cost[adj.edge];
       if (cost < 0) throw std::invalid_argument("dijkstra: negative edge cost");
       const double candidate = dist + cost;
-      if (candidate < tree.distance[adj.neighbor]) {
-        tree.distance[adj.neighbor] = candidate;
-        tree.parent_edge[adj.neighbor] = adj.edge;
-        heap.emplace(candidate, adj.neighbor);
+      if (candidate < distance[adj.neighbor]) {
+        distance[adj.neighbor] = candidate;
+        if (parent_edge) (*parent_edge)[adj.neighbor] = adj.edge;
+        heap.emplace_back(candidate, adj.neighbor);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
     }
   }
+}
+
+}  // namespace
+
+ShortestPathTree dijkstra(const Graph& graph, NodeId src,
+                          std::span<const double> edge_cost) {
+  ShortestPathTree tree;
+  dijkstra_impl(graph, src, edge_cost, tree.distance, &tree.parent_edge);
   return tree;
+}
+
+void dijkstra_distances_into(const Graph& graph, NodeId src,
+                             std::span<const double> edge_cost,
+                             std::vector<double>& out) {
+  dijkstra_impl(graph, src, edge_cost, out, nullptr);
 }
 
 std::vector<double> hop_bounded_min_cost(const Graph& graph, NodeId src,

@@ -40,6 +40,11 @@ struct Path {
 /// Hop distance from `src` to every node (kUnreachable where disconnected).
 std::vector<std::uint32_t> bfs_hops(const Graph& graph, NodeId src);
 
+/// As bfs_hops, writing into `out` (resized to node_count) and reusing a
+/// per-thread queue — allocation-free in steady state.
+void bfs_hops_into(const Graph& graph, NodeId src,
+                   std::vector<std::uint32_t>& out);
+
 struct ShortestPathTree {
   std::vector<double> distance;    // kInfiniteCost where unreachable
   std::vector<EdgeId> parent_edge; // kInvalidEdge at src / unreachable
@@ -51,6 +56,13 @@ struct ShortestPathTree {
 /// Dijkstra with non-negative per-edge costs.
 ShortestPathTree dijkstra(const Graph& graph, NodeId src,
                           std::span<const double> edge_cost);
+
+/// Dijkstra distances only (== dijkstra(...).distance, bit-identical),
+/// written into `out` with a per-thread heap — allocation-free in steady
+/// state. Safe to call concurrently from multiple threads.
+void dijkstra_distances_into(const Graph& graph, NodeId src,
+                             std::span<const double> edge_cost,
+                             std::vector<double>& out);
 
 /// Minimum additive cost src -> each node over walks of at most `max_hops`
 /// edges (layered Bellman-Ford). Equals the simple-path minimum for

@@ -7,6 +7,7 @@
 
 #include "graph/paths.hpp"
 #include "obs/metrics.hpp"
+#include "util/timer.hpp"
 
 namespace dust::net {
 
@@ -17,6 +18,7 @@ ResponseTimeCache::ResponseTimeCache() {
   invalidation_counter_ =
       &registry.counter("dust_net_trmin_cache_invalidated_rows_total");
   bypass_counter_ = &registry.counter("dust_net_trmin_cache_bypasses_total");
+  begin_cycle_ms_ = &registry.histogram("dust_net_begin_cycle_ms");
 }
 
 void ResponseTimeCache::set_lu_quantum(double step) {
@@ -55,6 +57,12 @@ bool ResponseTimeCache::synced_with(const NetworkState& net) const noexcept {
 }
 
 void ResponseTimeCache::begin_cycle(NetworkState& net) {
+  const util::Timer timer;
+  sync(net);
+  begin_cycle_ms_->observe(timer.millis());
+}
+
+void ResponseTimeCache::sync(NetworkState& net) {
   const std::size_t n = net.node_count();
   if (!synced_once_ || entries_.size() != n ||
       inverse_costs_.size() != net.edge_count()) {
@@ -86,16 +94,13 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
   };
   static thread_local std::vector<MovedLink> moved;
   moved.clear();
+  bool any_worsened = false;
   for (graph::EdgeId e : net.dirty_links()) {
     const double fresh = quantize(1.0 / net.link(e).utilized_bandwidth());
     if (fresh == inverse_costs_[e]) continue;
     moved.push_back({e, fresh, fresh > inverse_costs_[e]});
+    any_worsened = any_worsened || moved.back().worsened;
     inverse_costs_[e] = fresh;
-  }
-  if (moved.empty()) {
-    net.snapshot_links();
-    synced_version_ = net.link_version();
-    return;
   }
 
   const graph::Graph& g = net.graph();
@@ -117,53 +122,12 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
   // Rows without used_edges (kHopBoundedDp) fall back to the conservative
   // hop-ball test: one multi-source BFS from all moved endpoints, row
   // invalid iff dist(s) + 1 <= max_hops (0 = unbounded).
-  std::uint32_t max_hops_cap = 0;  // loosest hop bound any valid row uses
-  bool unbounded_rows = false;
-  for (const Entry& entry : entries_) {
-    if (!entry.valid || entry.unit.used_edges.empty()) continue;
-    if (entry.max_hops == 0)
-      unbounded_rows = true;
-    else
-      max_hops_cap = std::max(max_hops_cap, entry.max_hops);
-  }
-  struct ImprovedLink {
-    double cost;
-    std::vector<double> from_a;  ///< segment cost minima from endpoint a
-    std::vector<double> from_b;
-    std::vector<std::uint32_t> hops_a;  ///< BFS hop counts from endpoint a
-    std::vector<std::uint32_t> hops_b;
-  };
-  static thread_local std::vector<ImprovedLink> improved;
-  improved.clear();
-  bool any_worsened_ball = false;
-  for (const MovedLink& m : moved) {
-    if (m.worsened) {
-      any_worsened_ball = true;
-      continue;
-    }
-    const graph::Edge& edge = g.edge(m.e);
-    ImprovedLink link;
-    link.cost = m.new_cost;
-    // Each side of a via-link path has at most max_hops - 1 edges, so the
-    // hop-bounded segment minimum is a valid (and much tighter than
-    // unbounded Dijkstra) lower bound. Rows with no hop bound need the
-    // unbounded minimum.
-    if (unbounded_rows || max_hops_cap == 0) {
-      link.from_a = graph::dijkstra(g, edge.a, inverse_costs_).distance;
-      link.from_b = graph::dijkstra(g, edge.b, inverse_costs_).distance;
-    } else {
-      link.from_a = graph::hop_bounded_min_cost(g, edge.a, inverse_costs_,
-                                                max_hops_cap - 1);
-      link.from_b = graph::hop_bounded_min_cost(g, edge.b, inverse_costs_,
-                                                max_hops_cap - 1);
-    }
-    link.hops_a = graph::bfs_hops(g, edge.a);
-    link.hops_b = graph::bfs_hops(g, edge.b);
-    improved.push_back(std::move(link));
-  }
-
-  // Hop ball for the fallback rows, lazily: dist to the nearest moved link.
-  static thread_local std::vector<std::uint32_t> dist;
+  //
+  // The cheap tests run first, in one pass over the rows; the supported
+  // rows they keep wait in `pending` for the improved-link test, which runs
+  // link-major and stops once nothing is pending. With no cached row this
+  // is the whole fast path: no hop ball, no BFS, no SSSP.
+  static thread_local std::vector<std::uint32_t> dist;  // hop ball
   bool ball_built = false;
   const auto build_ball = [&] {
     dist.assign(n, graph::kUnreachable);
@@ -189,15 +153,14 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
     }
     ball_built = true;
   };
-
-  const auto row_survives = [&](graph::NodeId s, const Entry& entry) {
+  const auto cheap_tests_pass = [&](graph::NodeId s, const Entry& entry) {
     if (entry.unit.used_edges.empty()) {
       // No edge support recorded: conservative hop-ball reachability.
       if (!ball_built) build_ball();
       if (dist[s] == graph::kUnreachable) return true;
       return entry.max_hops != 0 && dist[s] + 1 > entry.max_hops;
     }
-    if (any_worsened_ball) {
+    if (any_worsened) {
       for (const MovedLink& m : moved) {
         if (!m.worsened) continue;
         if (entry.unit.used_edges[m.e / 64] &
@@ -205,44 +168,89 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
           return false;
       }
     }
-    // Deadband: only a beat by more than the relative epsilon forces a
-    // reprice. scale == 1.0 when the band is off, keeping the test exact.
-    const double scale = 1.0 - reprice_epsilon_;
-    for (const ImprovedLink& link : improved) {
-      const std::vector<double>& trmin = entry.unit.trmin_seconds;
-      const std::uint32_t h = entry.max_hops;
-      const double to_a = link.from_a[s];
-      const double to_b = link.from_b[s];
-      const std::uint32_t sh_a = link.hops_a[s];
-      const std::uint32_t sh_b = link.hops_b[s];
-      for (graph::NodeId v = 0; v < n; ++v) {
-        // A new path via the link needs hops(s, x) + 1 + hops(y, v) edges
-        // at minimum; beyond the row's hop budget it cannot exist at all.
-        const bool a_side_fits =
-            h == 0 || (sh_a != graph::kUnreachable &&
-                       link.hops_b[v] != graph::kUnreachable &&
-                       sh_a + 1 + link.hops_b[v] <= h);
-        const bool b_side_fits =
-            h == 0 || (sh_b != graph::kUnreachable &&
-                       link.hops_a[v] != graph::kUnreachable &&
-                       sh_b + 1 + link.hops_a[v] <= h);
-        if (a_side_fits && to_a + link.cost + link.from_b[v] < trmin[v] * scale)
-          return false;
-        if (b_side_fits && to_b + link.cost + link.from_a[v] < trmin[v] * scale)
-          return false;
-      }
-    }
     return true;
   };
 
+  // The improved-link bound is taken at the loosest hop bound of every
+  // supported row valid on entry, dropped or not: a tighter bound would
+  // change which rows survive. If no cost moved, every row stands.
+  std::uint32_t max_hops_cap = 0;
+  bool unbounded_rows = false;
+  static thread_local std::vector<graph::NodeId> pending;
+  pending.clear();
   std::uint64_t dropped = 0;
-  for (graph::NodeId s = 0; s < n; ++s) {
+  for (graph::NodeId s = 0; s < n && !moved.empty(); ++s) {
     Entry& entry = entries_[s];
     if (!entry.valid) continue;
-    if (!row_survives(s, entry)) {
+    if (!entry.unit.used_edges.empty()) {
+      if (entry.max_hops == 0)
+        unbounded_rows = true;
+      else
+        max_hops_cap = std::max(max_hops_cap, entry.max_hops);
+    }
+    if (!cheap_tests_pass(s, entry)) {
       entry.valid = false;
       ++dropped;
+    } else if (!entry.unit.used_edges.empty()) {
+      pending.push_back(s);
     }
+  }
+
+  // Deadband: only a beat by more than the relative epsilon forces a
+  // reprice. scale == 1.0 when the band is off, keeping the test exact.
+  const double scale = 1.0 - reprice_epsilon_;
+  static thread_local std::vector<double> from_a, from_b;  // segment minima
+  static thread_local std::vector<std::uint32_t> hops_a, hops_b;  // BFS hops
+  const auto beaten = [&](graph::NodeId s, double cost) {
+    const std::vector<double>& trmin = entries_[s].unit.trmin_seconds;
+    const std::uint32_t h = entries_[s].max_hops;
+    const double to_a = from_a[s];
+    const double to_b = from_b[s];
+    const std::uint32_t sh_a = hops_a[s];
+    const std::uint32_t sh_b = hops_b[s];
+    for (graph::NodeId v = 0; v < n; ++v) {
+      // A new path via the link needs hops(s, x) + 1 + hops(y, v) edges
+      // at minimum; beyond the row's hop budget it cannot exist at all.
+      const bool a_side_fits =
+          h == 0 || (sh_a != graph::kUnreachable &&
+                     hops_b[v] != graph::kUnreachable &&
+                     sh_a + 1 + hops_b[v] <= h);
+      const bool b_side_fits =
+          h == 0 || (sh_b != graph::kUnreachable &&
+                     hops_a[v] != graph::kUnreachable &&
+                     sh_b + 1 + hops_a[v] <= h);
+      if (a_side_fits && to_a + cost + from_b[v] < trmin[v] * scale)
+        return true;
+      if (b_side_fits && to_b + cost + from_a[v] < trmin[v] * scale)
+        return true;
+    }
+    return false;
+  };
+  for (const MovedLink& m : moved) {
+    if (pending.empty()) break;
+    if (m.worsened) continue;
+    const graph::Edge& edge = g.edge(m.e);
+    // Each side of a via-link path has at most max_hops - 1 edges, so the
+    // hop-bounded segment minimum is a valid (and much tighter than
+    // unbounded Dijkstra) lower bound. Rows with no hop bound need the
+    // unbounded minimum.
+    if (unbounded_rows) {
+      graph::dijkstra_distances_into(g, edge.a, inverse_costs_, from_a);
+      graph::dijkstra_distances_into(g, edge.b, inverse_costs_, from_b);
+    } else {
+      graph::hop_bounded_min_cost_into(g, edge.a, inverse_costs_,
+                                       max_hops_cap - 1, from_a);
+      graph::hop_bounded_min_cost_into(g, edge.b, inverse_costs_,
+                                       max_hops_cap - 1, from_b);
+    }
+    graph::bfs_hops_into(g, edge.a, hops_a);
+    graph::bfs_hops_into(g, edge.b, hops_b);
+    std::erase_if(pending, [&](graph::NodeId s) {
+      if (!beaten(s, m.new_cost)) return false;
+      entries_[s].valid = false;
+      ++dropped;
+      return true;
+    });
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
   invalidation_counter_->inc(dropped);

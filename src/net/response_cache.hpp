@@ -37,6 +37,7 @@
 
 namespace dust::obs {
 class Counter;
+class Histogram;
 }
 
 namespace dust::net {
@@ -59,9 +60,17 @@ class ResponseTimeCache {
 
   /// Sync with the network's links: consume net.dirty_links() (the network is
   /// re-snapshotted), refresh the cached 1/Lu costs for those links, and
-  /// invalidate every cached row whose hop ball touches one. Call once per
-  /// placement cycle, before any row() query. A topology change (different
-  /// node/edge counts) resets the cache wholesale.
+  /// drop the cached rows a moved link can change, by the direction-aware
+  /// tests above. One pass over the rows runs the cheap tests (hop ball for
+  /// rows without support, used_edges probe for worsened links) and queues
+  /// the other supported rows; the improved-link test then runs link-major,
+  /// one SSSP + BFS pair per improved link into reused O(n) buffers, and
+  /// stops once no row is queued. With no cached row that leaves O(dirty + n)
+  /// work and no SSSP; otherwise O(improved links x (SSSP + queued rows x n))
+  /// time and O(n) scratch. Call once per placement cycle, before any row()
+  /// query. A topology change (different node/edge counts) resets the cache
+  /// wholesale. Each call is timed into the dust_net_begin_cycle_ms
+  /// histogram.
   void begin_cycle(NetworkState& net);
 
   /// Multiplicative Lu quantization (DESIGN.md §8). With step > 0, link costs
@@ -125,6 +134,7 @@ class ResponseTimeCache {
     ResponseTimeResult unit;
   };
 
+  void sync(NetworkState& net);  ///< begin_cycle minus its timer
   [[nodiscard]] bool synced_with(const NetworkState& net) const noexcept;
   void serve(const Entry& entry, double data_mb, ResponseTimeResult& out) const;
   [[nodiscard]] double quantize(double inverse_cost) const noexcept;
@@ -146,6 +156,7 @@ class ResponseTimeCache {
   obs::Counter* miss_counter_ = nullptr;
   obs::Counter* invalidation_counter_ = nullptr;
   obs::Counter* bypass_counter_ = nullptr;
+  obs::Histogram* begin_cycle_ms_ = nullptr;  ///< dust_net_begin_cycle_ms
 };
 
 }  // namespace dust::net

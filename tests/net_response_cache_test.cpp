@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace dust::net {
@@ -223,6 +224,67 @@ TEST(ResponseTimeCache, RepriceEpsilonKeepsRowsThroughSmallImprovements) {
   cache.begin_cycle(net);
   (void)cache.row(net, 0, 1.0, opt);
   EXPECT_EQ(cache.stats().misses, misses_before + 1);
+}
+
+// With no cached row, begin_cycle only refreshes its cost snapshot and
+// re-baselines the moved links. Rows queried afterwards must still be served
+// in sync and on the new costs, and a later improving move must still drop a
+// row it beats.
+TEST(ResponseTimeCache, CyclesWithNoCachedRowsStillTrackLinks) {
+  util::Rng rng(31);
+  NetworkState net = fat_tree_net(4, rng);
+  const ResponseTimeOptions opt{3, EvaluatorMode::kSharedFrontier, 0};
+  ResponseTimeCache cache;
+  cache.begin_cycle(net);
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    for (int i = 0; i < 4; ++i) {
+      const auto e = static_cast<graph::EdgeId>(rng.below(net.edge_count()));
+      net.set_link(e, LinkState{1000.0, rng.uniform(0.05, 0.95)});
+    }
+    ASSERT_FALSE(net.dirty_links().empty());
+    cache.begin_cycle(net);
+    EXPECT_TRUE(net.dirty_links().empty());
+    EXPECT_EQ(cache.cached_rows(), 0u);
+  }
+  for (graph::NodeId s = 0; s < net.node_count(); ++s)
+    expect_bit_identical(cache.row(net, s, 3.0, opt),
+                         fresh_row(net, s, 3.0, opt), s);
+  EXPECT_EQ(cache.stats().bypasses, 0u);
+  EXPECT_EQ(cache.stats().misses, net.node_count());
+  EXPECT_EQ(cache.stats().invalidations, 0u);
+
+  // A hundredfold bandwidth on a link makes it the cheapest route between
+  // its endpoints, which beats the row of endpoint a at destination b.
+  const graph::Edge edge = net.graph().edge(0);
+  net.set_link(0, LinkState{100000.0, 0.95});
+  cache.begin_cycle(net);
+  EXPECT_GE(cache.stats().invalidations, 1u);
+  const auto misses_before = cache.stats().misses;
+  expect_bit_identical(cache.row(net, edge.a, 3.0, opt),
+                       fresh_row(net, edge.a, 3.0, opt), edge.a);
+  EXPECT_EQ(cache.stats().misses, misses_before + 1);
+  EXPECT_EQ(cache.stats().bypasses, 0u);
+}
+
+// Every begin_cycle call, whichever way it returns, is one observation of
+// dust_net_begin_cycle_ms in the global registry.
+TEST(ResponseTimeCache, ExportsBeginCycleTime) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  const auto count = [&registry]() -> std::uint64_t {
+    const obs::RegistrySnapshot snapshot = registry.snapshot();
+    const obs::NamedHistogramSnapshot* h =
+        snapshot.find_histogram("dust_net_begin_cycle_ms");
+    return h ? h->count : 0;
+  };
+  util::Rng rng(17);
+  NetworkState net = fat_tree_net(4, rng);
+  ResponseTimeCache cache;
+  const auto before = count();
+  cache.begin_cycle(net);  // wholesale rebuild
+  cache.begin_cycle(net);  // nothing dirty
+  net.set_link(1, LinkState{1000.0, 0.5});
+  cache.begin_cycle(net);  // one moved link
+  EXPECT_EQ(count(), before + 3);
 }
 
 TEST(NetworkStateDirtyTracking, VersionAndSnapshotSemantics) {

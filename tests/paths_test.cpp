@@ -46,6 +46,9 @@ TEST(BfsHops, FatTreeDiameter) {
   EXPECT_EQ(dist[ft.edge_switch(1, 0)], 4u);
   EXPECT_EQ(dist[ft.edge_switch(0, 1)], 2u);  // same pod via aggregation
   EXPECT_EQ(dist[ft.aggregation(0, 0)], 1u);
+  std::vector<std::uint32_t> into(2, 7u);  // stale contents are overwritten
+  bfs_hops_into(ft.graph(), ft.edge_switch(0, 0), into);
+  EXPECT_EQ(into, dist);
 }
 
 TEST(BfsHops, InvalidSourceThrows) {
@@ -244,6 +247,9 @@ TEST_P(RandomGraphSweep, DijkstraEqualsUnboundedDp) {
   const auto dp = hop_bounded_min_cost(g, 3, cost, 0);
   for (NodeId v = 0; v < g.node_count(); ++v)
     EXPECT_NEAR(tree.distance[v], dp[v], 1e-9);
+  std::vector<double> into(1, -1.0);  // stale contents are overwritten
+  dijkstra_distances_into(g, 3, cost, into);
+  EXPECT_EQ(into, tree.distance);  // bit-identical
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSweep,
