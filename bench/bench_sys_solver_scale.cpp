@@ -7,7 +7,8 @@
 //   fat-tree k=16  320 nodes / 2048 links — the paper's large evaluation
 //                  topology; sanity scale for the trajectory.
 //   fat-tree k=32  1280 nodes / 16384 links — production-scale fabric.
-//                  Acceptance: steady-state placement cycle < 25 ms.
+//                  Acceptance: cold first cycle < 1 s, steady-state
+//                  placement cycle < 25 ms.
 //   random-100k    10^5 nodes / 1.5*10^5 links — hardware-agnostic sprawl
 //                  (§III's "various network topologies"). Acceptance: the
 //                  cold build + solve completes (no OOM, no hour-long
@@ -188,8 +189,8 @@ void write_json(const std::vector<ScaleStats>& rows, std::size_t cycles) {
 int main() {
   bench::print_header(
       "System — solver & path-engine scaling (k=16 / k=32 / random-100k)",
-      "(acceptance: k=32 steady-state cycle < 25 ms; 100k-node cold solve "
-      "completes)");
+      "(acceptance: k=32 cold solve < 1 s; k=32 steady-state cycle < 25 ms; "
+      "100k-node cold solve completes)");
   std::cout << "# pool: " << util::global_pool().size() << " workers"
             << " (size via DUST_THREADS)\n";
 
@@ -211,14 +212,18 @@ int main() {
   bench::emit(table);
   write_json(rows, cycles);
 
+  const double k32_cold = rows[1].cold_ms;
+  const bool k32_cold_ok = k32_cold < 1000.0;
+  std::cout << "\nk=32 cold solve " << (k32_cold_ok ? "PASS" : "FAIL") << ": "
+            << k32_cold << " ms (budget < 1 s)\n";
   const double k32_steady = rows[1].steady_ms;
   const bool k32_ok = k32_steady < 25.0;
-  std::cout << "\nk=32 steady-state " << (k32_ok ? "PASS" : "FAIL") << ": "
+  std::cout << "k=32 steady-state " << (k32_ok ? "PASS" : "FAIL") << ": "
             << k32_steady << " ms/cycle (budget < 25 ms)\n";
   const bool random_ok = rows.size() > 2 && rows[2].cold_ms > 0.0;
   std::cout << "random-100k cold solve " << (random_ok ? "PASS" : "FAIL")
             << ": " << (rows.size() > 2 ? rows[2].cold_ms : 0.0) << " ms ("
             << (rows.size() > 2 ? rows[2].busy : 0) << " busy x "
             << (rows.size() > 2 ? rows[2].candidates : 0) << " candidates)\n";
-  return k32_ok && random_ok ? 0 : 1;
+  return k32_cold_ok && k32_ok && random_ok ? 0 : 1;
 }

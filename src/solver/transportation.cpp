@@ -5,9 +5,11 @@
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "solver/min_cost_flow.hpp"
 #include "util/timer.hpp"
 
 namespace dust::solver {
@@ -29,25 +31,50 @@ struct Balanced {
   bool has_dummy = false;
 };
 
-// Solve-phase timings; magic statics so a solve pays two relaxed atomics.
+// Solve-phase timings and pivot counts; magic statics so a solve pays three
+// relaxed atomics.
 struct SolveMetrics {
   obs::Histogram& start_ms;
   obs::Histogram& pivot_ms;
+  obs::Histogram& pivots;
   static SolveMetrics& get() {
     obs::MetricRegistry& registry = obs::MetricRegistry::global();
     static SolveMetrics metrics{registry.histogram("dust_solver_start_ms"),
-                                registry.histogram("dust_solver_pivot_ms")};
+                                registry.histogram("dust_solver_pivot_ms"),
+                                registry.histogram("dust_solver_pivots")};
     return metrics;
   }
 };
+
+// True when the allowed cells cannot carry the full supply at all: the max
+// flow source -> rows (Cs) -> allowed cells -> columns (Cd) -> sink falls
+// short. Decides an iteration-limit exit, where big-M pricing noise can keep
+// an infeasible instance pivoting without ever proving it.
+bool shortfall(const TransportationProblem& problem, double total_supply) {
+  const std::size_t m = problem.sources();
+  const std::size_t n = problem.destinations();
+  const std::size_t source = m + n;
+  const std::size_t sink = m + n + 1;
+  MinCostFlow flow(m + n + 2);
+  for (std::size_t i = 0; i < m; ++i)
+    flow.add_arc(source, i, problem.supply[i], 0.0);
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    if (problem.cost[cell] != kInfinity)
+      flow.add_arc(cell / n, m + cell % n, kInfinity, 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    flow.add_arc(m + j, sink, problem.capacity[j], 0.0);
+  return flow.solve(source, sink).max_flow + kEps * (1.0 + total_supply) <
+         total_supply;
+}
 
 using Arc = TransportationBasis::Cell;
 
 /// MODI / u-v transportation simplex over a balanced instance. The basis is
 /// kept as what it is, a spanning tree over m row nodes [0, m) and n column
-/// nodes [m, m+n) with one arc per basic cell, so the potentials and the
-/// entering cycle each take one O(m+n) tree walk; only pricing scans the
-/// m*n grid.
+/// nodes [m, m+n) with one arc per basic cell. A pivot costs what it moved:
+/// the cycle is one walk up the tree, only the subtree the leaving arc cuts
+/// off gets new potentials, and pricing rescans only the rows whose lower
+/// bound on the minimum reduced cost could still beat the best cell found.
 class TransportSimplex {
  public:
   /// `warm_cells`, when non-null, flags cells to allocate first in the
@@ -56,11 +83,13 @@ class TransportSimplex {
                             const std::vector<char>* warm_cells = nullptr)
       : bal_(bal),
         warm_cells_(warm_cells),
-        basic_(bal.m * bal.n, 0),
+        price_(bal.cost),
         adj_(bal.m + bal.n),
         pot_(bal.m + bal.n, 0.0),
         pred_(bal.m + bal.n, kNone),
-        depth_(bal.m + bal.n, 0) {}
+        depth_(bal.m + bal.n, 0),
+        bound_(bal.m),
+        row_dirty_(bal.m, 0) {}
 
   /// Least-cost start, completed to a spanning tree.
   void initial_basis() {
@@ -84,7 +113,9 @@ class TransportSimplex {
     // burning the iteration budget.
     std::size_t degenerate_streak = 0;
     for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-      compute_potentials();
+      // Under Dantzig's rule each pivot updates the potentials and row
+      // bounds it moved; the first iteration and Bland's rule walk the tree.
+      if (iter == 0 || bland_) compute_potentials();
       const auto [enter_i, enter_j, reduced] =
           bland_ ? first_negative_cell() : most_negative_cell();
       if (reduced >= -kEps) {
@@ -110,7 +141,11 @@ class TransportSimplex {
     adj_[cell / bal_.n].push_back(arcs_.size());
     adj_[bal_.m + cell % bal_.n].push_back(arcs_.size());
     arcs_.push_back({cell, flow});
-    basic_[cell] = 1;
+    price_[cell] = kInfinity;
+  }
+
+  [[nodiscard]] bool basic(std::size_t cell) const {
+    return price_[cell] == kInfinity;
   }
 
   [[nodiscard]] std::size_t other_end(std::size_t arc, std::size_t node) const {
@@ -163,18 +198,27 @@ class TransportSimplex {
       unite(arc.index / bal_.n, bal_.m + arc.index % bal_.n);
     for (std::size_t cell = 0;
          cell < bal_.m * bal_.n && arcs_.size() + 1 < bal_.m + bal_.n; ++cell)
-      if (!basic_[cell] && unite(cell / bal_.n, bal_.m + cell % bal_.n))
+      if (!basic(cell) && unite(cell / bal_.n, bal_.m + cell % bal_.n))
         add_arc(cell, 0.0);
   }
 
   // Potentials u_i + v_j = c_ij on basic cells (pot_[i] = u_i, pot_[m+j] =
   // v_j) by one walk of the tree from row 0, which also records each node's
-  // parent arc and depth for the cycle search. A node's potential follows
-  // from its parent's along the unique tree path, so the values do not
-  // depend on the visiting order.
+  // parent arc and depth for the cycle search. Every row bound becomes
+  // unknown (-inf), so the next pricing scans each row once.
   void compute_potentials() {
     order_.assign(1, 0);
     pred_[0] = kNone;
+    walk_subtree();
+    std::fill(bound_.begin(), bound_.end(), -kInfinity);
+  }
+
+  // Extends order_ (holding a subtree root whose pred_, depth_ and pot_ are
+  // set) to the root's whole subtree, deriving each node's values from its
+  // parent's: pot = cost - pot[parent]. A node's potential depends only on
+  // its tree path to row 0, so a subtree walk yields the same bits as a
+  // walk of the whole tree.
+  void walk_subtree() {
     for (std::size_t k = 0; k < order_.size(); ++k) {
       const std::size_t node = order_[k];
       for (std::size_t arc : adj_[node]) {
@@ -200,23 +244,57 @@ class TransportSimplex {
                            std::abs(pot_[i]) + std::abs(pot_[bal_.m + j]));
   }
 
+  // Smallest reduced cost in row i over all nonbasic cells (+inf on a fully
+  // basic row); basic cells price at +inf, so the pass needs no branch. Four
+  // running minima break the dependency chain of one; min is exact, so the
+  // grouping cannot change the result.
+  [[nodiscard]] double row_minimum(std::size_t i) const {
+    const double u = pot_[i];
+    const double* price = price_.data() + i * bal_.n;
+    const double* v = pot_.data() + bal_.m;
+    double lo[4] = {kInfinity, kInfinity, kInfinity, kInfinity};
+    std::size_t j = 0;
+    for (; j + 4 <= bal_.n; j += 4)
+      for (std::size_t k = 0; k < 4; ++k)
+        lo[k] = std::min(lo[k], price[j + k] - u - v[j + k]);
+    for (; j < bal_.n; ++j) lo[0] = std::min(lo[0], price[j] - u - v[j]);
+    return std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
+  }
+
+  // Dantzig's rule: the most negative improving reduced cost, first in
+  // row-major order on ties — the cell a full row-major scan would pick.
+  // Rows are scanned exactly in increasing (bound, row) order until no
+  // remaining row's bound can beat the best cell; each exact scan tightens
+  // its row's bound to the row's true minimum.
   [[nodiscard]] std::tuple<std::size_t, std::size_t, double>
-  most_negative_cell() const {
+  most_negative_cell() {
+    candidates_.clear();
+    for (std::size_t i = 0; i < bal_.m; ++i)
+      if (bound_[i] < 0.0) candidates_.emplace_back(bound_[i], i);
+    std::sort(candidates_.begin(), candidates_.end());
     double best = 0.0;
     std::size_t bi = 0, bj = 0;
     const double* v = pot_.data() + bal_.m;
-    for (std::size_t i = 0; i < bal_.m; ++i) {
+    for (const auto& [bound, i] : candidates_) {
+      if (bound > best || (bound == best && i >= bi)) break;
       const double u = pot_[i];
-      const double* cost = bal_.cost.data() + i * bal_.n;
-      const char* basic = basic_.data() + i * bal_.n;
+      const double* price = price_.data() + i * bal_.n;
+      double row_best = 0.0;
+      double row_min = kInfinity;
+      std::size_t row_j = kNone;
       for (std::size_t j = 0; j < bal_.n; ++j) {
-        if (basic[j]) continue;
-        const double reduced = cost[j] - u - v[j];
-        if (reduced < best && reduced < -reduced_cost_tolerance(i, j)) {
-          best = reduced;
-          bi = i;
-          bj = j;
+        const double reduced = price[j] - u - v[j];
+        row_min = std::min(row_min, reduced);
+        if (reduced < row_best && reduced < -reduced_cost_tolerance(i, j)) {
+          row_best = reduced;
+          row_j = j;
         }
+      }
+      bound_[i] = row_min;
+      if (row_j != kNone && (row_best < best || (row_best == best && i < bi))) {
+        best = row_best;
+        bi = i;
+        bj = row_j;
       }
     }
     return {bi, bj, best};
@@ -228,7 +306,7 @@ class TransportSimplex {
   first_negative_cell() const {
     for (std::size_t i = 0; i < bal_.m; ++i) {
       for (std::size_t j = 0; j < bal_.n; ++j) {
-        if (basic_[i * bal_.n + j]) continue;
+        if (basic(i * bal_.n + j)) continue;
         const double reduced =
             bal_.cost[i * bal_.n + j] - pot_[i] - pot_[bal_.m + j];
         if (reduced < -reduced_cost_tolerance(i, j)) return {i, j, reduced};
@@ -256,20 +334,21 @@ class TransportSimplex {
         b = other_end(pred_[b], b);
       }
     }
+    const std::size_t row_side = path_.size();  // arcs above enter_i
     path_.insert(path_.end(), down_.rbegin(), down_.rend());
     // Walking from enter_i, path cells alternate '-', '+', ... (the entering
     // cell is the '+' that closes the loop). Theta = min flow on the '-'
     // cells, first along the path on ties; under Bland's rule ties break
     // toward the lowest cell index (required for the anti-cycling guarantee).
     double theta = kInfinity;
-    std::size_t leaving = path_[0];
+    std::size_t leaving_k = 0;
     for (std::size_t k = 0; k < path_.size(); k += 2) {
       const Arc& arc = arcs_[path_[k]];
-      const bool tie_wins =
-          bland_ && arc.flow == theta && arc.index < arcs_[leaving].index;
+      const bool tie_wins = bland_ && arc.flow == theta &&
+                            arc.index < arcs_[path_[leaving_k]].index;
       if (arc.flow < theta || tie_wins) {
         theta = arc.flow;
-        leaving = path_[k];
+        leaving_k = k;
       }
     }
     for (std::size_t k = 0; k < path_.size(); ++k) {
@@ -279,19 +358,64 @@ class TransportSimplex {
         arcs_[path_[k]].flow += theta;
     }
     // The entering cell takes over the leaving arc's slot.
+    const std::size_t leaving = path_[leaving_k];
     const std::size_t cell = arcs_[leaving].index;
     for (std::size_t node : {cell / bal_.n, bal_.m + cell % bal_.n}) {
       std::vector<std::size_t>& list = adj_[node];
       *std::find(list.begin(), list.end(), leaving) = list.back();
       list.pop_back();
     }
-    basic_[cell] = 0;
+    price_[cell] = bal_.cost[cell];
     const std::size_t enter = enter_i * bal_.n + enter_j;
     arcs_[leaving] = {enter, theta};
     adj_[enter_i].push_back(leaving);
     adj_[bal_.m + enter_j].push_back(leaving);
-    basic_[enter] = 1;
+    price_[enter] = kInfinity;
+    // Dropping the leaving arc cut off the subtree holding the entering
+    // end on the leaving arc's side of the cycle; the entering arc hangs it
+    // back from the other end. Bland's rule re-walks the whole tree instead.
+    if (!bland_) {
+      const bool row_below = leaving_k < row_side;
+      const std::size_t root = row_below ? enter_i : bal_.m + enter_j;
+      const std::size_t parent = row_below ? bal_.m + enter_j : enter_i;
+      pred_[root] = leaving;
+      depth_[root] = depth_[parent] + 1;
+      pot_[root] = bal_.cost[enter] - pot_[parent];
+      order_.assign(1, root);
+      walk_subtree();
+      update_bounds();
+    }
     return theta;
+  }
+
+  // After a subtree walk (order_ = the moved nodes): rows whose u moved get
+  // their exact minimum; every other row can only have dropped on the moved
+  // columns. The cell that just turned nonbasic is covered either way: the
+  // leaving arc's lower end is a moved node, so its row is rescanned or its
+  // column is a moved column. The entering cell turning basic only raises
+  // its row's minimum, so the old bound stays a lower bound.
+  void update_bounds() {
+    moved_columns_.clear();
+    for (std::size_t node : order_) {
+      if (node < bal_.m)
+        row_dirty_[node] = 1;
+      else
+        moved_columns_.push_back(node - bal_.m);
+    }
+    const double* v = pot_.data() + bal_.m;
+    for (std::size_t i = 0; i < bal_.m; ++i) {
+      if (row_dirty_[i]) {
+        row_dirty_[i] = 0;
+        bound_[i] = row_minimum(i);
+        continue;
+      }
+      const double u = pot_[i];
+      const double* price = price_.data() + i * bal_.n;
+      double lo = bound_[i];
+      for (std::size_t j : moved_columns_)
+        lo = std::min(lo, price[j] - u - v[j]);
+      bound_[i] = lo;
+    }
   }
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -299,13 +423,16 @@ class TransportSimplex {
   const Balanced& bal_;
   const std::vector<char>* warm_cells_ = nullptr;
   bool bland_ = false;
-  std::vector<char> basic_;  ///< m*n basis membership, for pricing
-  std::vector<Arc> arcs_;    ///< basic cells and their flows
+  std::vector<double> price_;  ///< m*n pricing grid: cost, or +inf if basic
+  std::vector<Arc> arcs_;      ///< basic cells and their flows
   std::vector<std::vector<std::size_t>> adj_;  ///< node -> incident arcs
   std::vector<double> pot_;         ///< u (rows) then v (columns)
   std::vector<std::size_t> pred_;   ///< node -> arc to its tree parent
   std::vector<std::size_t> depth_;  ///< node -> depth below row 0
-  std::vector<std::size_t> order_, path_, down_;  ///< walk scratch
+  std::vector<double> bound_;       ///< row -> lower bound on its min reduced
+  std::vector<char> row_dirty_;     ///< update_bounds scratch, all zero between
+  std::vector<std::size_t> order_, path_, down_, moved_columns_;  ///< scratch
+  std::vector<std::pair<double, std::size_t>> candidates_;  ///< (bound, row)
   std::size_t iterations_ = 0;
 };
 
@@ -396,10 +523,12 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   SolveMetrics& metrics = SolveMetrics::get();
   metrics.start_ms.observe(start_seconds * 1e3);
   metrics.pivot_ms.observe(pivot_seconds * 1e3);
+  metrics.pivots.observe(static_cast<double>(simplex.iterations()));
   result.iterations = simplex.iterations();
-  if (status != Status::kOptimal) {
+  if (status == Status::kIterationLimit) {
     if (basis != nullptr) basis->valid = false;
-    result.status = status;
+    result.status = shortfall(problem, total_supply) ? Status::kInfeasible
+                                                     : Status::kIterationLimit;
     return result;
   }
   // Check forbidden cells and extract the real rows' flows (dummy-row cells

@@ -1,5 +1,8 @@
 // Specialized transportation-problem solver (least-cost start + MODI on a
-// spanning-tree basis).
+// spanning-tree basis). A pivot re-derives potentials only for the subtree
+// it moved, and Dantzig pricing rescans only rows whose lower bound on the
+// minimum reduced cost can still win, so no pivot walks the whole m*n grid
+// (DESIGN.md §13).
 //
 // Once Trmin(i,j) is known, DUST's placement LP (Eq. 3) *is* a transportation
 // problem: supplies Cs_i that must ship fully, destination capacities Cd_j,
@@ -11,9 +14,13 @@
 // handled via big-M internally and reported as infeasible if the optimum
 // would need them.
 //
-// Every solve that reaches the simplex records its two phases in the global
-// obs registry: dust_solver_start_ms (the initial basis) and
-// dust_solver_pivot_ms (the pivot loop).
+// Every solve that reaches the simplex records its two phases and its pivot
+// count in the global obs registry: dust_solver_start_ms (the initial
+// basis), dust_solver_pivot_ms (the pivot loop) and dust_solver_pivots.
+//
+// A solve that exhausts its pivot budget is checked for plain feasibility
+// (a max flow over the allowed cells) and reports kInfeasible when the
+// supply cannot ship at all, kIterationLimit otherwise.
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,11 @@
 // solves) raw flow bits of every solve are folded into one FNV-1a digest per
 // family. The expected digests were recorded from the dense-grid MODI
 // implementation that the spanning-tree basis replaced (relaxation-sweep
-// potentials, full-grid cycle DFS). The tree basis is required to reproduce them bit for bit: tree
-// potentials and the entering cycle are unique, and pricing is unchanged, so
-// the pivot sequence and every flow must be identical.
+// potentials, full-grid cycle DFS). The tree basis is required to reproduce
+// them bit for bit: tree potentials and the entering cycle are unique, a
+// subtree update computes each potential by the same expression as a full
+// walk, and the bounded pricing picks the cell a full row-major scan picks,
+// so the pivot sequence and every flow must be identical.
 //
 // A legitimate change to the pivot rules changes these digests; re-record
 // them only together with a statement of why the pivot sequence moved.
@@ -274,27 +276,140 @@ TransportationProblem cycling_instance(std::uint64_t seed, bool integer_costs) {
   return p;
 }
 
+// The simplex's pivot budget for `p`: 100 * (rows + n)^2 + 1000, with the
+// dummy row counted when capacity exceeds supply.
+std::size_t iteration_budget(const TransportationProblem& p) {
+  const std::size_t rows =
+      p.sources() + (sum(p.capacity) > sum(p.supply) + 1e-9 ? 1 : 0);
+  const std::size_t nodes = rows + p.destinations();
+  return 100 * nodes * nodes + 1000;
+}
+
 TEST(TransportationDigest, DegenerateCycling) {
+  // Five of these solves (seeds 148 and 1137) spend the whole pivot budget.
+  // Their instances cannot ship the full supply over allowed cells, and the
+  // iteration-limit exit now says so (kInfeasible) where it used to report
+  // kIterationLimit. `recorded` folds those five back to kIterationLimit
+  // and must still match the digest recorded from the dense-grid code, so
+  // every pivot count, objective and flow is unchanged; `d` pins the
+  // statuses reported now.
   Digest d;
+  Digest recorded;
+  const auto add = [&](const TransportationProblem& p, TransportationResult r) {
+    d.add(r);
+    if (r.status == Status::kInfeasible && r.iterations == iteration_budget(p))
+      r.status = Status::kIterationLimit;
+    recorded.add(r);
+  };
   for (std::uint64_t seed : {148, 373, 514, 1137, 1650, 2756, 2785}) {
     TransportationProblem p = cycling_instance(seed * 7919 + 2, false);
-    d.add(solve_transportation(p));
+    add(p, solve_transportation(p));
     TransportationBasis basis;
-    d.add(solve_transportation_dirty(p, basis));
+    add(p, solve_transportation_dirty(p, basis));
     util::Rng rng(seed);
     reprice(rng, p, 0.3);
-    d.add(solve_transportation_dirty(p, basis));
+    add(p, solve_transportation_dirty(p, basis));
   }
   for (std::uint64_t seed : {240, 338, 2948}) {
     TransportationProblem p = cycling_instance(seed * 7919 + 4, true);
+    add(p, solve_transportation(p));
+    TransportationBasis basis;
+    add(p, solve_transportation_dirty(p, basis));
+    util::Rng rng(seed);
+    reprice(rng, p, 0.3);
+    add(p, solve_transportation_dirty(p, basis));
+  }
+  expect_digest(recorded, "ef8d2bfb5ec2a19c");
+  expect_digest(d, "8ebc345e7668abe6");
+}
+
+// The families below were recorded from the tree basis with full potential
+// walks and full-grid Dantzig pricing, before pricing and potentials became
+// incremental; they aim at the incremental bookkeeping's edges.
+
+// Edge shapes: a single row or a single column, and narrow grids whose
+// width leaves odd tails in a row pass. With n <= 3 many rows end up with
+// every cell basic, so their pricing rows hold no candidate at all.
+TEST(TransportationDigest, EdgeShapes) {
+  util::Rng rng(0xED6Eull);
+  Digest d;
+  const auto solve_chain = [&](TransportationProblem p) {
     d.add(solve_transportation(p));
     TransportationBasis basis;
     d.add(solve_transportation_dirty(p, basis));
-    util::Rng rng(seed);
-    reprice(rng, p, 0.3);
-    d.add(solve_transportation_dirty(p, basis));
+    for (int step = 0; step < 3; ++step) {
+      reprice(rng, p, 0.4);
+      d.add(solve_transportation_dirty(p, basis));
+    }
+  };
+  for (std::size_t n : {1, 2, 3, 5, 7, 9, 40})
+    solve_chain(continuous_instance(rng, 1, n, 0.0));
+  for (std::size_t m : {1, 2, 3, 6, 25}) {
+    solve_chain(continuous_instance(rng, m, 1, 0.0));
+    solve_chain(integer_instance(rng, m, 1, 0.0, 0.0, true));
   }
-  expect_digest(d, "ef8d2bfb5ec2a19c");
+  for (std::size_t n : {2, 3, 5, 7}) {
+    for (int t = 0; t < 6; ++t) {
+      const auto m = static_cast<std::size_t>(rng.range(2, 30));
+      solve_chain(t % 2 == 0
+                      ? continuous_instance(rng, m, n, 0.1 * t)
+                      : integer_instance(rng, m, n, 0.1 * t, 0.0, t % 3 == 1));
+    }
+  }
+  expect_digest(d, "5417285e1bb15b49");
+}
+
+// Long dirty-basis chains: every solve after the first resumes from the
+// previous optimal tree with about 30% of the cells repriced, so most
+// pivots run straight after seed_basis on a basis far from optimal.
+TEST(TransportationDigest, LongDirtyChains) {
+  util::Rng rng(0xC4A1ull);
+  Digest d;
+  for (int t = 0; t < 8; ++t) {
+    const auto m = static_cast<std::size_t>(rng.range(5, 40));
+    const auto n = static_cast<std::size_t>(rng.range(5, 80));
+    TransportationProblem p = t % 2 == 0
+                                  ? continuous_instance(rng, m, n, 0.05)
+                                  : integer_instance(rng, m, n, 0.05, 0.1, t % 4 == 1);
+    TransportationBasis basis;
+    d.add(solve_transportation_dirty(p, basis));
+    for (int step = 0; step < 24; ++step) {
+      reprice(rng, p, 0.3);
+      d.add(solve_transportation_dirty(p, basis));
+    }
+  }
+  expect_digest(d, "b456ef56bab7769f");
+}
+
+// Replan-shaped: 71 busy rows by 178 candidates plus the dummy row, costs
+// drawn from a handful of response-time levels (many exact ties), 5%
+// forbidden, and each cycle redraws 5% of the loads and passes the previous
+// optimum as the warm hint, like a k=16 replan.
+TEST(TransportationDigest, ReplanShaped) {
+  util::Rng rng(0x4E91ull);
+  Digest d;
+  constexpr std::size_t m = 71, n = 178;
+  TransportationProblem p;
+  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(0.5, 20.0));
+  const double total = sum(p.supply);
+  for (std::size_t j = 0; j < n; ++j)
+    p.capacity.push_back(1.5 * total / static_cast<double>(n) +
+                         rng.uniform(0.0, 2.0));
+  const double levels[] = {0.8, 1.2, 1.6, 2.4, 3.2};
+  for (std::size_t c = 0; c < m * n; ++c)
+    p.cost.push_back(rng.bernoulli(0.05) ? kInfinity : levels[rng.below(5)]);
+  TransportationResult last = solve_transportation(p);
+  d.add(last);
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    for (double& s : p.supply)
+      if (rng.bernoulli(0.05)) s = rng.uniform(0.5, 20.0);
+    if (cycle % 4 == 3)
+      for (double& c : p.cost)
+        if (c != kInfinity && rng.bernoulli(0.02)) c = levels[rng.below(5)];
+    last = solve_transportation(p, last.optimal() ? &last.flow : nullptr);
+    d.add(last);
+  }
+  expect_digest(d, "cc361faf641447ed");
 }
 
 }  // namespace

@@ -178,6 +178,54 @@ TEST(Transportation, ExportsStartAndPivotTimes) {
   EXPECT_EQ(pivot.count(), pivots + 1);
 }
 
+// Each simplex solve also records its pivot count, once per solve.
+TEST(Transportation, ExportsPivotCount) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  const auto pivots = [&registry]() -> obs::NamedHistogramSnapshot {
+    const obs::RegistrySnapshot snapshot = registry.snapshot();
+    const obs::NamedHistogramSnapshot* h =
+        snapshot.find_histogram("dust_solver_pivots");
+    return h ? *h : obs::NamedHistogramSnapshot{};
+  };
+  const obs::NamedHistogramSnapshot before = pivots();
+  TransportationProblem p;
+  p.supply = {300, 400, 500};
+  p.capacity = {250, 350, 600};
+  p.cost = {3, 1, 7, 2, 6, 5, 8, 3, 3};
+  const TransportationResult first = solve_transportation(p);
+  ASSERT_TRUE(first.optimal());
+  p.cost = {1, 1, 1, 1, 1, 1, 1, 1, 1};
+  const TransportationResult second = solve_transportation(p);
+  ASSERT_TRUE(second.optimal());
+  const obs::NamedHistogramSnapshot after = pivots();
+  EXPECT_EQ(after.count, before.count + 2);
+  EXPECT_DOUBLE_EQ(after.sum - before.sum,
+                   static_cast<double>(first.iterations + second.iterations));
+}
+
+// A heavily forbidden (big-M) instance whose supply the allowed cells cannot
+// carry: pricing noise on the big-M potentials keeps it pivoting until the
+// iteration limit, even under Bland's rule. The max-flow check on that exit
+// reports it infeasible. Found by seeded search over 25x26 continuous
+// instances with 75-80% forbidden cells.
+TEST(Transportation, IterationLimitOnShortfallIsInfeasible) {
+  util::Rng rng(16);
+  const double forbidden = rng.uniform(0.75, 0.8);
+  TransportationProblem p;
+  for (int i = 0; i < 25; ++i) p.supply.push_back(rng.uniform(0.5, 20.0));
+  const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (int j = 0; j < 26; ++j)
+    p.capacity.push_back(1.3 * total / 26 + rng.uniform(0.0, 5.0));
+  for (int c = 0; c < 25 * 26; ++c)
+    p.cost.push_back(rng.bernoulli(forbidden) ? kInfinity
+                                              : rng.uniform(0.1, 10.0));
+  const TransportationResult r = solve_transportation(p);
+  EXPECT_EQ(r.status, Status::kInfeasible);
+  // The whole budget, 100 * (m + n)^2 + 1000 over 26 balanced rows: the
+  // verdict comes from the iteration-limit exit, not from the simplex.
+  EXPECT_EQ(r.iterations, 100u * 52 * 52 + 1000);
+}
+
 class TransportationRandomSweep
     : public ::testing::TestWithParam<std::uint64_t> {};
 
