@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate paths: Gorilla
-// compression, TSDB queries, hop-bounded path evaluation, and the full
-// placement pipeline at small scale.
+// compression, TSDB queries, hop-bounded path evaluation, the full
+// placement pipeline at small scale, and the virtual-time message path
+// (event queue, transport send and delivery).
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "core/heuristic.hpp"
 #include "core/optimizer.hpp"
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/transport.hpp"
 #include "telemetry/tsdb.hpp"
 #include "util/rng.hpp"
 
@@ -94,6 +99,56 @@ void BM_HeuristicEngine(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(engine.run(nmdb));
 }
 BENCHMARK(BM_HeuristicEngine)->Arg(4)->Arg(8)->Arg(16);
+
+/// The event core alone on a STAT-round shape: Arg(0) one-second timers
+/// fire in the same ms, each scheduling a 1 ms one-shot (its delivery),
+/// and an eighth as many 10 s timers (keepalive checks) live beyond the
+/// ring. One iteration is one simulated second; reports events per second.
+void BM_SimulatorScheduleRun(benchmark::State& state) {
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim;
+  std::size_t deliveries = 0;
+  std::vector<std::unique_ptr<sim::PeriodicTask>> tasks;
+  for (std::size_t i = 0; i < timers; ++i)
+    tasks.push_back(std::make_unique<sim::PeriodicTask>(
+        sim, 0, 1000, [&sim, &deliveries](sim::TimeMs) {
+          sim.schedule(1, [&deliveries] { ++deliveries; });
+        }));
+  for (std::size_t i = 0; i < timers / 8; ++i)
+    tasks.push_back(std::make_unique<sim::PeriodicTask>(
+        sim, static_cast<sim::TimeMs>(i), 10000, [](sim::TimeMs) {}));
+  std::size_t events = 0;
+  for (auto _ : state) events += sim.run_until(sim.now() + 1000);
+  benchmark::DoNotOptimize(deliveries);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SimulatorScheduleRun)->Arg(64)->Arg(1280);
+
+/// A STAT round: Arg(0) clients each send one message to the manager, then
+/// the simulator delivers them; reports messages per second.
+void BM_TransportSendDeliver(benchmark::State& state) {
+  const auto clients = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim;
+  sim::Transport transport(sim, util::Rng(3));
+  std::uint64_t received = 0;
+  transport.register_endpoint("dust-manager",
+                              [&received](const sim::Envelope& envelope) {
+                                received += envelope.trace_id;
+                              });
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < clients; ++i)
+    names.push_back("dust-client-" + std::to_string(1000 + i));
+  const std::string manager = "dust-manager";
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < clients; ++i)
+      transport.send(names[i], manager, static_cast<int>(i),
+                     sim::Priority::kNormal, "stat", 1);
+    sim.run_until(sim.now() + 1);
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(static_cast<std::int64_t>(received));
+}
+BENCHMARK(BM_TransportSendDeliver)->Arg(64)->Arg(1280);
 
 BENCHMARK(BM_GorillaAppend);
 BENCHMARK(BM_GorillaDecode);

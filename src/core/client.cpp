@@ -16,7 +16,8 @@ DustClient::DustClient(sim::Simulator& sim, sim::TransportBase& transport,
       config_(config),
       rng_(rng),
       device_(device),
-      track_("client-" + std::to_string(node)) {
+      track_("client-" + std::to_string(node)),
+      endpoint_(client_endpoint(node)) {
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   metrics_.tx_offload_capable =
       &registry.counter("dust_core_tx_offload_capable_total");
@@ -29,19 +30,19 @@ DustClient::DustClient(sim::Simulator& sim, sim::TransportBase& transport,
   metrics_.tx_telemetry_data =
       &registry.counter("dust_core_tx_telemetry_data_total");
   endpoint_token_ = transport_->register_endpoint(
-      client_endpoint(node_),
+      endpoint_,
       [this](const sim::Envelope& envelope) { handle(envelope); });
 }
 
 DustClient::~DustClient() {
   // Token-scoped: if another client re-registered this node's endpoint
   // (e.g. a replacement instance), leave the new registration in place.
-  transport_->unregister_endpoint(client_endpoint(node_), endpoint_token_);
+  transport_->unregister_endpoint(endpoint_, endpoint_token_);
 }
 
 void DustClient::start() {
   metrics_.tx_offload_capable->inc();
-  transport_->send(client_endpoint(node_), config_.manager,
+  transport_->send(endpoint_, config_.manager,
                    Message{OffloadCapableMsg{node_, config_.offload_capable,
                                              config_.platform_factor}},
                    sim::Priority::kNormal, "offload_capable");
@@ -50,7 +51,7 @@ void DustClient::start() {
 void DustClient::rehome() {
   if (failed_) return;
   metrics_.tx_offload_capable->inc();
-  transport_->send(client_endpoint(node_), config_.manager,
+  transport_->send(endpoint_, config_.manager,
                    Message{OffloadCapableMsg{node_, config_.offload_capable,
                                              config_.platform_factor}},
                    sim::Priority::kNormal, "offload_capable");
@@ -86,7 +87,7 @@ void DustClient::set_byzantine(const ByzantineBehavior& behavior) {
         if (failed_ || byzantine_.flap_period_ms <= 0) return;
         metrics_.tx_offload_capable->inc();
         transport_->send(
-            client_endpoint(node_), config_.manager,
+            endpoint_, config_.manager,
             Message{OffloadCapableMsg{node_, config_.offload_capable,
                                       config_.platform_factor}},
             sim::Priority::kNormal, "offload_capable");
@@ -130,7 +131,7 @@ void DustClient::send_stat() {
   // cause nothing, and this path runs once per node per update interval).
   stat.trace = obs::enabled() ? obs::new_trace() : obs::TraceContext{};
   metrics_.tx_stat->inc();
-  transport_->send(client_endpoint(node_), config_.manager, Message{stat},
+  transport_->send(endpoint_, config_.manager, Message{stat},
                    sim::Priority::kNormal, "stat", stat.trace.trace_id);
 }
 
@@ -140,8 +141,7 @@ void DustClient::publish_snapshot(const telemetry::DeviceSnapshot& snapshot) {
     metrics_.tx_telemetry_data->inc();
     Message message{TelemetryDataMsg{node_, snapshot}};
     const sim::Priority priority = message_priority(message);
-    transport_->send(client_endpoint(node_),
-                     client_endpoint(outbound.destination),
+    transport_->send(endpoint_, client_endpoint(outbound.destination),
                      std::move(message), priority, "telemetry_data");
   }
 }
@@ -228,7 +228,7 @@ void DustClient::on_offload_request(const OffloadRequestMsg& msg) {
   const obs::TraceContext ack_ctx = obs::record_instant(
       registry, "offload_ack", track_, msg.trace, sim_->now());
   metrics_.tx_offload_ack->inc();
-  transport_->send(client_endpoint(node_), config_.manager,
+  transport_->send(endpoint_, config_.manager,
                    Message{OffloadAckMsg{msg.request_id, node_, true, ack_ctx}},
                    sim::Priority::kNormal, "offload_ack", ack_ctx.trace_id);
   if (duplicate) return;
@@ -261,7 +261,7 @@ void DustClient::on_offload_request(const OffloadRequestMsg& msg) {
                                        msg.trace, sim_->now());
   metrics_.tx_agent_transfer->inc();
   const std::uint64_t transfer_trace = transfer.trace.trace_id;
-  transport_->send(client_endpoint(node_), client_endpoint(msg.destination),
+  transport_->send(endpoint_, client_endpoint(msg.destination),
                    Message{std::move(transfer)}, sim::Priority::kNormal,
                    "agent_transfer", transfer_trace);
 }
@@ -304,11 +304,11 @@ void DustClient::on_rep(const RepMsg& msg) {
   it->destination = msg.replacement;
   metrics_.tx_offload_ack->inc();
   metrics_.tx_agent_transfer->inc();
-  transport_->send(client_endpoint(node_), config_.manager,
+  transport_->send(endpoint_, config_.manager,
                    Message{OffloadAckMsg{msg.request_id, node_, true, ack_ctx}},
                    sim::Priority::kNormal, "offload_ack", ack_ctx.trace_id);
   const std::uint64_t transfer_trace = transfer.trace.trace_id;
-  transport_->send(client_endpoint(node_), client_endpoint(msg.replacement),
+  transport_->send(endpoint_, client_endpoint(msg.replacement),
                    Message{std::move(transfer)}, sim::Priority::kNormal,
                    "agent_transfer", transfer_trace);
 }
@@ -348,7 +348,7 @@ void DustClient::ensure_keepalive_task() {
         if (failed_ || hosted_.empty() || flap_suppressed()) return;
         ++keepalives_sent_;
         metrics_.tx_keepalive->inc();
-        transport_->send(client_endpoint(node_), config_.manager,
+        transport_->send(endpoint_, config_.manager,
                          Message{KeepaliveMsg{node_, keepalive_seq_++}},
                          sim::Priority::kNormal, "keepalive");
       });

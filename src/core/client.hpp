@@ -173,6 +173,7 @@ class DustClient {
   sim::MonitoredNode* device_;
   Metrics metrics_;
   std::string track_;  ///< span track label ("client-<node>"), precomputed
+  std::string endpoint_;  ///< client_endpoint(node_), built once
   obs::TraceContext last_host_trace_{};  ///< see last_host_trace()
 
   bool acknowledged_ = false;

@@ -9,6 +9,7 @@
 
 #include <any>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,10 @@
 #include "sim/event_queue.hpp"
 #include "sim/priority.hpp"
 #include "util/rng.hpp"
+
+namespace dust::obs {
+enum class FlightEventKind : std::uint8_t;
+}  // namespace dust::obs
 
 namespace dust::sim {
 
@@ -114,6 +119,8 @@ class Transport : public TransportBase {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
   /// Global-registry handles (dust_sim_transport_*), resolved once at
   /// construction so the send path stays lock-free. Drops are counted both
   /// in total and by cause so QoS behaviour under congestion is scrapable.
@@ -129,19 +136,60 @@ class Transport : public TransportBase {
     obs::Histogram* delivery_latency_ms = nullptr;  ///< sim-time latency
   };
 
+  /// One interned endpoint name. Ids are dense and never reused; the
+  /// handler is looked up here at delivery, so a name re-registered while a
+  /// message is in flight receives it.
+  struct Endpoint {
+    Handler handler;  ///< empty while unregistered
+    std::uint64_t token = 0;
+    bool partitioned = false;
+    /// Flight-recorder identity: the client node id (or kNoNode) and the
+    /// short label used in hop details ("M", "c3", or the name itself).
+    std::int32_t node = 0;
+    std::string label;
+  };
+  /// A message between send() and delivery. Slots are recycled through a
+  /// free list, so steady-state sends reuse their strings' capacity.
+  struct InFlight {
+    Envelope envelope;
+    std::uint32_t from = 0;  ///< interned ids of envelope.from / .to
+    std::uint32_t to = 0;
+    TimeMs sent_at = 0;
+    std::uint32_t next_free = 0;
+    /// Its delivery event is in the simulator's queue (set once scheduled,
+    /// cleared when delivery starts): a Simulator::clear() orphaned it.
+    bool queued = false;
+  };
+
+  std::uint32_t intern(const std::string& name);
+  [[nodiscard]] Endpoint* find(const std::string& name);
+  void deliver(std::uint32_t slot);
+  /// Release the payload and put `slot` back on the free list.
+  void free_slot(std::uint32_t slot) noexcept;
+  /// Free every slot whose delivery event a Simulator::clear() dropped.
+  void reclaim_cleared() noexcept;
+  void record_hop(obs::FlightEventKind event_kind, const std::string& kind,
+                  std::uint32_t from, std::uint32_t to,
+                  std::uint64_t trace_id, const char* cause) const;
+  /// Count a drop by `cause` (also the flight-recorder prefix).
+  void drop(obs::Counter* cause_counter, const char* cause,
+            const std::string& kind, std::uint32_t from, std::uint32_t to,
+            std::uint64_t trace_id);
+
   Simulator* sim_;
   util::Rng rng_;
   Metrics metrics_;
   TimeMs default_latency_ms_ = 1;
   double loss_probability_ = 0.0;
   bool congested_ = false;
-  struct Endpoint {
-    Handler handler;
-    std::uint64_t token = 0;
-  };
-  std::unordered_map<std::string, Endpoint> endpoints_;
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  // Deques: a handler may register endpoints or send while its own
+  // Endpoint and InFlight are in use, and growth must not move them.
+  std::deque<Endpoint> endpoints_;
+  std::deque<InFlight> in_flight_;
+  std::uint32_t free_slot_ = kNoSlot;
+  std::uint64_t clears_seen_ = 0;  ///< sim_->clears() at the last send
   std::uint64_t next_token_ = 1;
-  std::unordered_map<std::string, bool> partitioned_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

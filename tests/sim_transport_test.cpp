@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "obs/flight_recorder.hpp"
 
 namespace dust::sim {
 namespace {
@@ -254,6 +258,190 @@ TEST(TransportFaultScript, AppliesEventsAtScheduledTimes) {
   probe(6500, 8, Priority::kLow);     // congestion cleared: kLow delivered
   sim.run();
   EXPECT_EQ(delivered, (std::vector<int>{1, 3, 5, 7, 8}));
+}
+
+// Endpoint lookup happens at delivery, not at send: a message in flight
+// while its endpoint is re-registered reaches the new handler.
+TEST(TransportEndpoints, ReRegisterWhileInFlightDeliversToNewHandler) {
+  Simulator sim;
+  Transport transport{sim, util::Rng(1)};
+  std::vector<std::string> seen;
+  transport.register_endpoint(
+      "b", [&](const Envelope& e) { seen.push_back("old:" + e.kind); });
+  transport.send("a", "b", 1, Priority::kNormal, "first");
+  transport.register_endpoint(
+      "b", [&](const Envelope& e) { seen.push_back("new:" + e.kind); });
+  transport.send("a", "b", 2, Priority::kNormal, "second");
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"new:first", "new:second"}));
+  EXPECT_EQ(transport.delivered(), 2u);
+}
+
+TEST(TransportEndpoints, StaleTokenUnregisterIsNoOp) {
+  Simulator sim;
+  Transport transport{sim, util::Rng(1)};
+  int first = 0;
+  int second = 0;
+  const std::uint64_t old_token =
+      transport.register_endpoint("b", [&](const Envelope&) { ++first; });
+  const std::uint64_t new_token =
+      transport.register_endpoint("b", [&](const Envelope&) { ++second; });
+  EXPECT_NE(old_token, new_token);
+  transport.unregister_endpoint("b", old_token);  // stale: must not remove
+  EXPECT_TRUE(transport.has_endpoint("b"));
+  transport.send("a", "b", 1);
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  transport.unregister_endpoint("b", new_token);
+  EXPECT_FALSE(transport.has_endpoint("b"));
+  transport.unregister_endpoint("b", new_token);  // twice: still a no-op
+  transport.send("a", "b", 2);
+  sim.run();
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(transport.dropped(), 1u);
+}
+
+// A handler that sends from inside its own delivery, many messages at a
+// time, forces the in-flight store to grow while an envelope is being
+// delivered. The envelope it is reading must stay intact and every chain
+// must arrive in send order.
+TEST(TransportEndpoints, SendsDuringDeliveryGrowStoreAndKeepOrder) {
+  Simulator sim;
+  Transport transport{sim, util::Rng(1)};
+  std::vector<int> order;
+  transport.register_endpoint("sink", [&](const Envelope& e) {
+    order.push_back(std::any_cast<int>(e.payload));
+  });
+  transport.register_endpoint("fan", [&](const Envelope& e) {
+    const int base = std::any_cast<int>(e.payload);
+    for (int i = 0; i < 64; ++i) {
+      transport.send("fan", "sink", base * 100 + i);
+      // The delivered envelope is still readable after the sends.
+      ASSERT_EQ(std::any_cast<int>(e.payload), base);
+      ASSERT_EQ(e.from, "src");
+      ASSERT_EQ(e.to, "fan");
+    }
+  });
+  for (int b = 1; b <= 4; ++b) transport.send("src", "fan", b);
+  sim.run();
+  ASSERT_EQ(order.size(), 256u);
+  std::size_t k = 0;
+  for (int b = 1; b <= 4; ++b)
+    for (int i = 0; i < 64; ++i) EXPECT_EQ(order[k++], b * 100 + i);
+  EXPECT_EQ(transport.delivered(), 260u);
+}
+
+// Simulator::clear() drops the delivery events of messages in flight. Their
+// pooled slots (and payloads) come back at the transport's next send, so a
+// send/clear loop reuses one slot instead of growing the pool.
+TEST(TransportEndpoints, ClearReleasesInFlightPayloads) {
+  Simulator sim;
+  Transport transport{sim, util::Rng(1)};
+  int delivered = 0;
+  transport.register_endpoint("b", [&](const Envelope&) { ++delivered; });
+  const auto payload = std::make_shared<int>(7);
+  transport.send("a", "b", payload);
+  transport.send("a", "b", payload);
+  EXPECT_EQ(payload.use_count(), 3);
+  sim.clear();
+  transport.send("a", "b", 1);  // reclaims both orphaned slots first
+  EXPECT_EQ(payload.use_count(), 1);
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+
+  // A handler that clears the simulator mid-delivery keeps its own envelope
+  // intact; the slot is freed once, when its delivery ends.
+  transport.register_endpoint("c", [&](const Envelope& e) {
+    sim.clear();
+    transport.send("a", "b", 2);
+    EXPECT_EQ(std::any_cast<int>(e.payload), 9);
+  });
+  transport.send("a", "c", 9);
+  transport.send("a", "c", 9);  // dropped by the clear inside the first
+  sim.run();
+  EXPECT_EQ(delivered, 2);
+  for (int i = 0; i < 3; ++i) transport.send("a", "b", 3);
+  sim.run();
+  EXPECT_EQ(delivered, 5);
+}
+
+// A send whose delivery cannot be scheduled (negative latency) throws and
+// leaves no slot or payload behind.
+TEST(TransportEndpoints, FailedScheduleHoldsNoSlot) {
+  Simulator sim;
+  Transport transport{sim, util::Rng(1)};
+  int delivered = 0;
+  transport.register_endpoint("b", [&](const Envelope&) { ++delivered; });
+  const auto payload = std::make_shared<int>(7);
+  transport.set_default_latency_ms(-1);
+  EXPECT_THROW(transport.send("a", "b", payload), std::invalid_argument);
+  EXPECT_EQ(payload.use_count(), 1);
+  transport.set_default_latency_ms(1);
+  transport.send("a", "b", 1);
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+}
+
+// Flight-recorder tx/drop details are byte-identical labels: the manager is
+// "M", "dust-client-<n>" is "c<n>", any other endpoint keeps its name, a
+// drop is prefixed with its cause, and the whole detail is cut at 31 chars.
+TEST(TransportFlightDetail, TxAndDropLabelsArePinned) {
+  obs::set_enabled(true);
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.clear();
+  Simulator sim;
+  Transport transport{sim, util::Rng(3)};
+  transport.register_endpoint("dust-manager", [](const Envelope&) {});
+  transport.register_endpoint("dust-client-3", [](const Envelope&) {});
+  transport.send("dust-client-3", "dust-manager", 1, Priority::kNormal,
+                 "stat", 77);
+  transport.send("dust-manager", "dust-client-3", 1, Priority::kNormal,
+                 "offload_request");
+  transport.send("dust-client-12", "dust-collector-0", 1, Priority::kLow,
+                 "telemetry_data");
+  transport.send("dust-client-", "dust-client-x9", 1);
+  transport.set_loss_probability(1.0);
+  transport.send("dust-client-3", "dust-manager", 1, Priority::kNormal,
+                 "stat", 78);
+  transport.set_loss_probability(0.0);
+  transport.set_partitioned("dust-client-3", true);
+  transport.send("dust-manager", "dust-client-3", 1, Priority::kNormal,
+                 "keepalive_ack");
+  transport.set_partitioned("dust-client-3", false);
+  transport.set_congested(true);
+  transport.send("dust-client-3", "dust-client-40", 1, Priority::kLow,
+                 "telemetry_data");
+  transport.set_congested(false);
+  sim.run();
+
+  std::vector<std::string> lines;
+  for (const obs::FlightEvent& event : recorder.snapshot()) {
+    if (event.kind != obs::FlightEventKind::kMessageTx &&
+        event.kind != obs::FlightEventKind::kMessageDrop)
+      continue;
+    lines.push_back(
+        std::string(event.kind == obs::FlightEventKind::kMessageTx ? "tx "
+                                                                    : "drop ") +
+        event.detail + " " + std::to_string(event.node) + ">" +
+        std::to_string(event.peer) + " t" + std::to_string(event.trace_id));
+  }
+  EXPECT_EQ(lines,
+            (std::vector<std::string>{
+                "tx stat c3>M 3>-1 t77",
+                "tx offload_request M>c3 -1>3 t0",
+                "tx telemetry_data c12>dust-collect 12>-1 t0",
+                "tx ? dust-client->dust-client-x9 -1>-1 t0",
+                "tx stat c3>M 3>-1 t78",
+                "drop loss: stat c3>M 3>-1 t78",
+                "tx keepalive_ack M>c3 -1>3 t0",
+                "drop partition: keepalive_ack M>c3 -1>3 t0",
+                "tx telemetry_data c3>c40 3>40 t0",
+                "drop congestion: telemetry_data c3>c 3>40 t0",
+                "drop no_endpoint: telemetry_data c12 12>-1 t0",
+                "drop no_endpoint: ? dust-client->dus -1>-1 t0",
+            }));
+  recorder.clear();
 }
 
 }  // namespace
