@@ -18,12 +18,6 @@ double node_spare(const core::Nmdb& nmdb, graph::NodeId v) {
   return nmdb.thresholds(v).spare_capacity(nmdb.network().node_utilization(v));
 }
 
-/// Sort key: assignments compare by (from, to) — amounts are checked with a
-/// tolerance afterwards.
-bool assignment_less(const core::Assignment& a, const core::Assignment& b) {
-  return a.from != b.from ? a.from < b.from : a.to < b.to;
-}
-
 }  // namespace
 
 FederatedComparison compare_federated_placement(
@@ -135,8 +129,15 @@ std::vector<Violation> check_federated_placement(
     const core::Nmdb& nmdb, const federation::DomainPartition& partition,
     const core::PlacementOptions& placement,
     const FederationCheckOptions& options) {
-  const FederatedComparison cmp =
-      compare_federated_placement(nmdb, partition, placement, options);
+  return check_federated_comparison(
+      nmdb, partition,
+      compare_federated_placement(nmdb, partition, placement, options),
+      options);
+}
+
+std::vector<Violation> check_federated_comparison(
+    const core::Nmdb& nmdb, const federation::DomainPartition& partition,
+    const FederatedComparison& cmp, const FederationCheckOptions& options) {
   std::vector<Violation> violations;
   const double tol = options.tolerance;
 
@@ -188,26 +189,29 @@ std::vector<Violation> check_federated_placement(
     violations.push_back({"O8-gap-accounted", os.str()});
   }
 
+  // At a degenerate optimum the flows are not unique: equal-cost routes can
+  // split a load differently at the same beta. Every optimum has the same
+  // objective and ships the same total; when the single-manager optimum
+  // ships every busy node in full, every optimum does.
   if (cmp.single_stayed_in_domain) {
-    std::vector<core::Assignment> fed(
-        cmp.fed_assignments.begin(),
-        cmp.fed_assignments.begin() +
-            static_cast<std::ptrdiff_t>(cmp.local_assignment_count));
-    std::vector<core::Assignment> single = cmp.single.assignments;
-    std::sort(fed.begin(), fed.end(), assignment_less);
-    std::sort(single.begin(), single.end(), assignment_less);
-    bool identical = fed.size() == single.size();
-    for (std::size_t i = 0; identical && i < fed.size(); ++i)
-      identical = fed[i].from == single[i].from &&
-                  fed[i].to == single[i].to &&
-                  std::abs(fed[i].amount - single[i].amount) <= tol;
-    if (!identical || std::abs(cmp.fed_local_objective -
-                               cmp.single.objective) > tol) {
+    std::map<graph::NodeId, double> shipped;
+    double fed_local_placed = 0.0;
+    for (std::size_t i = 0; i < cmp.local_assignment_count; ++i) {
+      shipped[cmp.fed_assignments[i].from] += cmp.fed_assignments[i].amount;
+      fed_local_placed += cmp.fed_assignments[i].amount;
+    }
+    bool same =
+        std::abs(cmp.fed_local_objective - cmp.single.objective) <= tol &&
+        std::abs(fed_local_placed - cmp.single_placed) <= tol;
+    if (cmp.single_placed + tol >= cmp.total_excess)
+      for (graph::NodeId b : nmdb.busy_nodes())
+        same = same && std::abs(shipped[b] - node_excess(nmdb, b)) <= tol;
+    if (!same) {
       std::ostringstream os;
-      os << "single-manager optimum stayed in-domain ("
-         << single.size() << " flows, beta " << cmp.single.objective
-         << ") but sharded solves produced " << fed.size()
-         << " flows, beta " << cmp.fed_local_objective;
+      os << "single-manager optimum stayed in-domain (placed "
+         << cmp.single_placed << ", beta " << cmp.single.objective
+         << ") but sharded solves placed " << fed_local_placed << ", beta "
+         << cmp.fed_local_objective;
       violations.push_back({"O8-identical", os.str()});
     }
   }

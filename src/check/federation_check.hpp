@@ -21,8 +21,13 @@
 //                         granularity (any other loss is a bug)
 //   O8-identical          when the single-manager optimum keeps every
 //                         assignment inside its busy node's domain, the
-//                         sharded solves must reproduce it bit-for-bit
-//                         (same assignments, same β)
+//                         sharded solves must reach an optimum too: the
+//                         same β and total placed within tolerance, and
+//                         every busy node shipped in full whenever the
+//                         single manager ships them all. The flows
+//                         themselves are not compared: at a degenerate
+//                         optimum equal-cost routes can split a load
+//                         differently at the same β.
 //
 // Caveat the caller owns: delegation grants ignore Trmin reachability (the
 // protocol trusts the digest), so run this oracle with PlacementOptions
@@ -88,10 +93,16 @@ struct FederatedComparison {
     const core::PlacementOptions& placement,
     const FederationCheckOptions& options = {});
 
-/// The O8 verdict on a comparison (empty = all checks hold).
+/// The O8 verdict (empty = all checks hold): compare_federated_placement,
+/// then check_federated_comparison.
 [[nodiscard]] std::vector<Violation> check_federated_placement(
     const core::Nmdb& nmdb, const federation::DomainPartition& partition,
     const core::PlacementOptions& placement,
     const FederationCheckOptions& options = {});
+
+/// The O8 verdict on a comparison already computed over `nmdb`.
+[[nodiscard]] std::vector<Violation> check_federated_comparison(
+    const core::Nmdb& nmdb, const federation::DomainPartition& partition,
+    const FederatedComparison& cmp, const FederationCheckOptions& options = {});
 
 }  // namespace dust::check

@@ -1,7 +1,10 @@
 #include "solver/transportation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -20,31 +23,40 @@ constexpr double kEps = 1e-9;
 
 // Internal balanced instance: a dummy *source* row absorbs spare destination
 // capacity (zero cost), so every row supply ships fully and every column
-// receives exactly its capacity. Forbidden cells get big-M.
+// receives exactly its capacity. Its cost grid is kept apart (solve_impl).
 struct Balanced {
   std::size_t m = 0;  // rows including dummy
   std::size_t n = 0;
   std::vector<double> supply;
   std::vector<double> demand;
-  std::vector<double> cost;
   double big_m = 0.0;
   bool has_dummy = false;
 };
 
-// Solve-phase timings and pivot counts; magic statics so a solve pays three
-// relaxed atomics.
+// Solve-phase timings, pivot counts and Bland fallbacks; magic statics so a
+// solve pays three or four relaxed atomics.
 struct SolveMetrics {
   obs::Histogram& start_ms;
   obs::Histogram& pivot_ms;
   obs::Histogram& pivots;
+  obs::Counter& bland_fallbacks;
   static SolveMetrics& get() {
     obs::MetricRegistry& registry = obs::MetricRegistry::global();
     static SolveMetrics metrics{registry.histogram("dust_solver_start_ms"),
                                 registry.histogram("dust_solver_pivot_ms"),
-                                registry.histogram("dust_solver_pivots")};
+                                registry.histogram("dust_solver_pivots"),
+                                registry.counter("dust_solver_bland_fallbacks_total")};
     return metrics;
   }
 };
+
+// Order-preserving image of a cost in unsigned 64-bit order: a negative
+// double has every bit flipped, a non-negative one gets its sign bit set.
+// -0.0 maps to the key of +0.0, so the two stay equal as they are as doubles.
+std::uint64_t order_key(double cost) {
+  const auto bits = std::bit_cast<std::uint64_t>(cost == 0.0 ? 0.0 : cost);
+  return bits >> 63 != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
 
 // True when the allowed cells cannot carry the full supply at all: the max
 // flow source -> rows (Cs) -> allowed cells -> columns (Cd) -> sink falls
@@ -73,23 +85,23 @@ using Arc = TransportationBasis::Cell;
 /// kept as what it is, a spanning tree over m row nodes [0, m) and n column
 /// nodes [m, m+n) with one arc per basic cell. A pivot costs what it moved:
 /// the cycle is one walk up the tree, only the subtree the leaving arc cuts
-/// off gets new potentials, and pricing rescans only the rows whose lower
-/// bound on the minimum reduced cost could still beat the best cell found.
+/// off gets new potentials, and block-search pricing scans about sqrt(mn)
+/// cells from where the previous search stopped.
 class TransportSimplex {
  public:
-  /// `warm_cells`, when non-null, flags cells to allocate first in the
-  /// initial solution (see solve_transportation's warm_flow doc).
-  explicit TransportSimplex(const Balanced& bal,
-                            const std::vector<char>* warm_cells = nullptr)
+  /// Prices in place on `grid`, the balanced m*n costs. `warm_cells`, when
+  /// non-null, flags cells to allocate first in the initial solution (see
+  /// solve_transportation's warm_flow doc).
+  TransportSimplex(const Balanced& bal, std::vector<double>& grid,
+                   const std::vector<char>* warm_cells = nullptr)
       : bal_(bal),
         warm_cells_(warm_cells),
-        price_(bal.cost),
+        price_(grid),
         adj_(bal.m + bal.n),
         pot_(bal.m + bal.n, 0.0),
         pred_(bal.m + bal.n, kNone),
         depth_(bal.m + bal.n, 0),
-        bound_(bal.m),
-        row_dirty_(bal.m, 0) {}
+        block_(std::max<std::size_t>(std::sqrt(bal.m * bal.n), 10)) {}
 
   /// Least-cost start, completed to a spanning tree.
   void initial_basis() {
@@ -105,7 +117,7 @@ class TransportSimplex {
   }
 
   Status solve(std::size_t max_iterations) {
-    // Dantzig's rule can cycle forever on degenerate instances (exact
+    // Block search can cycle forever on degenerate instances (exact
     // supply/capacity ties, zero-capacity columns): every pivot has theta=0
     // and the same bases repeat. After a streak of m+n degenerate pivots,
     // switch to Bland's rule permanently — it guarantees termination, so an
@@ -113,8 +125,8 @@ class TransportSimplex {
     // burning the iteration budget.
     std::size_t degenerate_streak = 0;
     for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-      // Under Dantzig's rule each pivot updates the potentials and row
-      // bounds it moved; the first iteration and Bland's rule walk the tree.
+      // Under block search each pivot updates the potentials it moved; the
+      // first iteration and Bland's rule walk the tree.
       if (iter == 0 || bland_) compute_potentials();
       const auto [enter_i, enter_j, reduced] =
           bland_ ? first_negative_cell() : most_negative_cell();
@@ -135,17 +147,16 @@ class TransportSimplex {
 
   [[nodiscard]] const std::vector<Arc>& arcs() const noexcept { return arcs_; }
   [[nodiscard]] std::size_t iterations() const noexcept { return iterations_; }
+  /// True once the solve has switched to Bland's rule.
+  [[nodiscard]] bool bland() const noexcept { return bland_; }
 
  private:
   void add_arc(std::size_t cell, double flow) {
     adj_[cell / bal_.n].push_back(arcs_.size());
     adj_[bal_.m + cell % bal_.n].push_back(arcs_.size());
     arcs_.push_back({cell, flow});
+    arc_cost_.push_back(price_[cell]);
     price_[cell] = kInfinity;
-  }
-
-  [[nodiscard]] bool basic(std::size_t cell) const {
-    return price_[cell] == kInfinity;
   }
 
   [[nodiscard]] std::size_t other_end(std::size_t arc, std::size_t node) const {
@@ -160,16 +171,9 @@ class TransportSimplex {
   void least_cost_start() {
     std::vector<double> remaining_supply = bal_.supply;
     std::vector<double> remaining_demand = bal_.demand;
-    // Cells sorted by (warm priority, cost) once; skip exhausted rows/cols
+    // Cells in (warm first, cost, cell) order once; skip exhausted rows/cols
     // while scanning.
-    std::vector<std::size_t> order(bal_.m * bal_.n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-      if (warm_cells_ != nullptr && (*warm_cells_)[a] != (*warm_cells_)[b])
-        return (*warm_cells_)[a] > (*warm_cells_)[b];
-      return bal_.cost[a] < bal_.cost[b];
-    });
-    for (std::size_t cell : order) {
+    for (std::size_t cell : least_cost_order(price_, warm_cells_)) {
       const std::size_t i = cell / bal_.n;
       const std::size_t j = cell % bal_.n;
       if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
@@ -198,19 +202,17 @@ class TransportSimplex {
       unite(arc.index / bal_.n, bal_.m + arc.index % bal_.n);
     for (std::size_t cell = 0;
          cell < bal_.m * bal_.n && arcs_.size() + 1 < bal_.m + bal_.n; ++cell)
-      if (!basic(cell) && unite(cell / bal_.n, bal_.m + cell % bal_.n))
+      if (price_[cell] != kInfinity && unite(cell / bal_.n, bal_.m + cell % bal_.n))
         add_arc(cell, 0.0);
   }
 
   // Potentials u_i + v_j = c_ij on basic cells (pot_[i] = u_i, pot_[m+j] =
   // v_j) by one walk of the tree from row 0, which also records each node's
-  // parent arc and depth for the cycle search. Every row bound becomes
-  // unknown (-inf), so the next pricing scans each row once.
+  // parent arc and depth for the cycle search.
   void compute_potentials() {
     order_.assign(1, 0);
     pred_[0] = kNone;
     walk_subtree();
-    std::fill(bound_.begin(), bound_.end(), -kInfinity);
   }
 
   // Extends order_ (holding a subtree root whose pred_, depth_ and pot_ are
@@ -226,7 +228,7 @@ class TransportSimplex {
         const std::size_t child = other_end(arc, node);
         pred_[child] = arc;
         depth_[child] = depth_[node] + 1;
-        pot_[child] = bal_.cost[arcs_[arc].index] - pot_[node];
+        pot_[child] = arc_cost_[arc] - pot_[node];
         order_.push_back(child);
       }
     }
@@ -240,75 +242,57 @@ class TransportSimplex {
   // improvements in an endless theta=0 loop.
   [[nodiscard]] double reduced_cost_tolerance(std::size_t i,
                                               std::size_t j) const {
-    return kEps + 1e-12 * (std::abs(bal_.cost[i * bal_.n + j]) +
+    return kEps + 1e-12 * (std::abs(price_[i * bal_.n + j]) +
                            std::abs(pot_[i]) + std::abs(pot_[bal_.m + j]));
   }
 
-  // Smallest reduced cost in row i over all nonbasic cells (+inf on a fully
-  // basic row); basic cells price at +inf, so the pass needs no branch. Four
-  // running minima break the dependency chain of one; min is exact, so the
-  // grouping cannot change the result.
-  [[nodiscard]] double row_minimum(std::size_t i) const {
-    const double u = pot_[i];
-    const double* price = price_.data() + i * bal_.n;
-    const double* v = pot_.data() + bal_.m;
-    double lo[4] = {kInfinity, kInfinity, kInfinity, kInfinity};
-    std::size_t j = 0;
-    for (; j + 4 <= bal_.n; j += 4)
-      for (std::size_t k = 0; k < 4; ++k)
-        lo[k] = std::min(lo[k], price[j + k] - u - v[j + k]);
-    for (; j < bal_.n; ++j) lo[0] = std::min(lo[0], price[j] - u - v[j]);
-    return std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
-  }
-
-  // Dantzig's rule: the most negative improving reduced cost, first in
-  // row-major order on ties — the cell a full row-major scan would pick.
-  // Rows are scanned exactly in increasing (bound, row) order until no
-  // remaining row's bound can beat the best cell; each exact scan tightens
-  // its row's bound to the row's true minimum.
+  // Block search: scan the grid row-major from the cursor, wrapping, in
+  // blocks of block_ cells, and return the most negative improving cell of
+  // the first block that holds one (first in scan order on ties). The
+  // cursor stays after the last cell scanned, so the next search resumes
+  // there. Basic cells price at +inf and never improve. A full wrap without
+  // an improving cell returns 0: the basis is optimal.
   [[nodiscard]] std::tuple<std::size_t, std::size_t, double>
   most_negative_cell() {
-    candidates_.clear();
-    for (std::size_t i = 0; i < bal_.m; ++i)
-      if (bound_[i] < 0.0) candidates_.emplace_back(bound_[i], i);
-    std::sort(candidates_.begin(), candidates_.end());
+    const std::size_t cells = bal_.m * bal_.n;
+    const double* v = pot_.data() + bal_.m;
+    std::size_t i = cursor_ / bal_.n;
+    std::size_t j = cursor_ % bal_.n;
     double best = 0.0;
     std::size_t bi = 0, bj = 0;
-    const double* v = pot_.data() + bal_.m;
-    for (const auto& [bound, i] : candidates_) {
-      if (bound > best || (bound == best && i >= bi)) break;
-      const double u = pot_[i];
-      const double* price = price_.data() + i * bal_.n;
-      double row_best = 0.0;
-      double row_min = kInfinity;
-      std::size_t row_j = kNone;
-      for (std::size_t j = 0; j < bal_.n; ++j) {
-        const double reduced = price[j] - u - v[j];
-        row_min = std::min(row_min, reduced);
-        if (reduced < row_best && reduced < -reduced_cost_tolerance(i, j)) {
-          row_best = reduced;
-          row_j = j;
+    for (std::size_t scanned = 0; scanned < cells && best == 0.0;) {
+      const std::size_t block_end = scanned + std::min(block_, cells - scanned);
+      while (scanned < block_end) {
+        // The block's cells in row i: columns [j, end).
+        const std::size_t end = std::min(bal_.n, j + (block_end - scanned));
+        scanned += end - j;
+        const double u = pot_[i];
+        const double* price = price_.data() + i * bal_.n;
+        for (; j < end; ++j) {
+          const double reduced = price[j] - u - v[j];
+          if (reduced < best && reduced < -reduced_cost_tolerance(i, j)) {
+            best = reduced;
+            bi = i;
+            bj = j;
+          }
+        }
+        if (j == bal_.n) {
+          j = 0;
+          i = i + 1 == bal_.m ? 0 : i + 1;
         }
       }
-      bound_[i] = row_min;
-      if (row_j != kNone && (row_best < best || (row_best == best && i < bi))) {
-        best = row_best;
-        bi = i;
-        bj = row_j;
-      }
     }
+    cursor_ = i * bal_.n + j;
     return {bi, bj, best};
   }
 
-  // Bland's rule: the lowest-index cell with a negative reduced cost. Slower
-  // per pivot than Dantzig but provably cycle-free.
+  // Bland's rule: the lowest-index improving cell (basic cells price at +inf
+  // and never improve). Slower than block search but provably cycle-free.
   [[nodiscard]] std::tuple<std::size_t, std::size_t, double>
   first_negative_cell() const {
     for (std::size_t i = 0; i < bal_.m; ++i) {
       for (std::size_t j = 0; j < bal_.n; ++j) {
-        if (basic(i * bal_.n + j)) continue;
-        const double reduced =
-            bal_.cost[i * bal_.n + j] - pot_[i] - pot_[bal_.m + j];
+        const double reduced = price_[i * bal_.n + j] - pot_[i] - pot_[bal_.m + j];
         if (reduced < -reduced_cost_tolerance(i, j)) return {i, j, reduced};
       }
     }
@@ -365,9 +349,10 @@ class TransportSimplex {
       *std::find(list.begin(), list.end(), leaving) = list.back();
       list.pop_back();
     }
-    price_[cell] = bal_.cost[cell];
+    price_[cell] = arc_cost_[leaving];
     const std::size_t enter = enter_i * bal_.n + enter_j;
     arcs_[leaving] = {enter, theta};
+    arc_cost_[leaving] = price_[enter];
     adj_[enter_i].push_back(leaving);
     adj_[bal_.m + enter_j].push_back(leaving);
     price_[enter] = kInfinity;
@@ -380,42 +365,11 @@ class TransportSimplex {
       const std::size_t parent = row_below ? bal_.m + enter_j : enter_i;
       pred_[root] = leaving;
       depth_[root] = depth_[parent] + 1;
-      pot_[root] = bal_.cost[enter] - pot_[parent];
+      pot_[root] = arc_cost_[leaving] - pot_[parent];
       order_.assign(1, root);
       walk_subtree();
-      update_bounds();
     }
     return theta;
-  }
-
-  // After a subtree walk (order_ = the moved nodes): rows whose u moved get
-  // their exact minimum; every other row can only have dropped on the moved
-  // columns. The cell that just turned nonbasic is covered either way: the
-  // leaving arc's lower end is a moved node, so its row is rescanned or its
-  // column is a moved column. The entering cell turning basic only raises
-  // its row's minimum, so the old bound stays a lower bound.
-  void update_bounds() {
-    moved_columns_.clear();
-    for (std::size_t node : order_) {
-      if (node < bal_.m)
-        row_dirty_[node] = 1;
-      else
-        moved_columns_.push_back(node - bal_.m);
-    }
-    const double* v = pot_.data() + bal_.m;
-    for (std::size_t i = 0; i < bal_.m; ++i) {
-      if (row_dirty_[i]) {
-        row_dirty_[i] = 0;
-        bound_[i] = row_minimum(i);
-        continue;
-      }
-      const double u = pot_[i];
-      const double* price = price_.data() + i * bal_.n;
-      double lo = bound_[i];
-      for (std::size_t j : moved_columns_)
-        lo = std::min(lo, price[j] - u - v[j]);
-      bound_[i] = lo;
-    }
   }
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -423,16 +377,16 @@ class TransportSimplex {
   const Balanced& bal_;
   const std::vector<char>* warm_cells_ = nullptr;
   bool bland_ = false;
-  std::vector<double> price_;  ///< m*n pricing grid: cost, or +inf if basic
-  std::vector<Arc> arcs_;      ///< basic cells and their flows
+  std::vector<double>& price_;    ///< m*n pricing grid: cost, or +inf if basic
+  std::vector<Arc> arcs_;         ///< basic cells and their flows
+  std::vector<double> arc_cost_;  ///< arc -> its cell's cost
   std::vector<std::vector<std::size_t>> adj_;  ///< node -> incident arcs
   std::vector<double> pot_;         ///< u (rows) then v (columns)
   std::vector<std::size_t> pred_;   ///< node -> arc to its tree parent
   std::vector<std::size_t> depth_;  ///< node -> depth below row 0
-  std::vector<double> bound_;       ///< row -> lower bound on its min reduced
-  std::vector<char> row_dirty_;     ///< update_bounds scratch, all zero between
-  std::vector<std::size_t> order_, path_, down_, moved_columns_;  ///< scratch
-  std::vector<std::pair<double, std::size_t>> candidates_;  ///< (bound, row)
+  std::vector<std::size_t> order_, path_, down_;  ///< scratch
+  std::size_t block_;       ///< block-search block size, max(sqrt(mn), 10)
+  std::size_t cursor_ = 0;  ///< cell where the next block search starts
   std::size_t iterations_ = 0;
 };
 
@@ -447,9 +401,19 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   if (problem.cost.size() != m * n)
     throw std::invalid_argument("solve_transportation: cost size mismatch");
   for (double s : problem.supply)
-    if (s < 0) throw std::invalid_argument("solve_transportation: negative supply");
+    if (!(s >= 0))
+      throw std::invalid_argument("solve_transportation: negative or NaN supply");
   for (double c : problem.capacity)
-    if (c < 0) throw std::invalid_argument("solve_transportation: negative capacity");
+    if (!(c >= 0))
+      throw std::invalid_argument("solve_transportation: negative or NaN capacity");
+  // Big-M: strictly dominates any finite objective. The same scan rejects a
+  // NaN cost, which has no place in the start order or in pricing.
+  double max_finite = 1.0;
+  for (double c : problem.cost) {
+    if (std::isnan(c))
+      throw std::invalid_argument("solve_transportation: NaN cost");
+    if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
+  }
 
   TransportationResult result;
   result.flow.assign(m * n, 0.0);
@@ -476,17 +440,15 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   bal.supply = problem.supply;
   if (bal.has_dummy) bal.supply.push_back(total_capacity - total_supply);
   bal.demand = problem.capacity;
-  // Big-M: strictly dominates any finite objective.
-  double max_finite = 1.0;
-  for (double c : problem.cost)
-    if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
   bal.big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
-  bal.cost.assign(bal.m * bal.n, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      bal.cost[i * n + j] =
-          problem.cost[i * n + j] == kInfinity ? bal.big_m : problem.cost[i * n + j];
-  // Dummy row cost stays 0.
+  // The balanced cost grid, which the simplex prices on in place. Each
+  // thread keeps one across solves, so a re-solve writes into pages it
+  // already holds instead of faulting in m*n fresh ones.
+  static thread_local std::vector<double> grid;
+  grid.resize(bal.m * bal.n);
+  std::transform(problem.cost.begin(), problem.cost.end(), grid.begin(),
+                 [&bal](double c) { return c == kInfinity ? bal.big_m : c; });
+  std::fill(grid.begin() + m * n, grid.end(), 0.0);  // the dummy row costs 0
 
   // Dirty-basis eligibility: the retained basis must come from the *same*
   // balanced instance modulo costs — identical shape and bit-identical
@@ -509,7 +471,7 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   // Two timer reads split the solve into the initial basis (least-cost
   // start plus repair, or adopting the retained tree) and the pivot loop.
   util::Timer timer;
-  TransportSimplex simplex(bal, warm_cells.empty() ? nullptr : &warm_cells);
+  TransportSimplex simplex(bal, grid, warm_cells.empty() ? nullptr : &warm_cells);
   if (dirty) {
     simplex.seed_basis(basis->cells);
     result.dirty_resolve = true;
@@ -524,6 +486,7 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   metrics.start_ms.observe(start_seconds * 1e3);
   metrics.pivot_ms.observe(pivot_seconds * 1e3);
   metrics.pivots.observe(static_cast<double>(simplex.iterations()));
+  if (simplex.bland()) metrics.bland_fallbacks.inc();
   result.iterations = simplex.iterations();
   if (status == Status::kIterationLimit) {
     if (basis != nullptr) basis->valid = false;
@@ -560,6 +523,30 @@ TransportationResult solve_impl(const TransportationProblem& problem,
 }
 
 }  // namespace
+
+std::vector<std::uint32_t> least_cost_order(const std::vector<double>& cost,
+                                            const std::vector<char>* warm) {
+  if (cost.size() > UINT32_MAX)
+    throw std::length_error("least_cost_order: more than 2^32 cells");
+  // Stable LSD radix sort of the cell indices on their cost keys, 8 bits a
+  // pass; a pass whose digit is the same for every key is skipped.
+  std::vector<std::uint64_t> key(cost.size());
+  std::transform(cost.begin(), cost.end(), key.begin(), order_key);
+  std::vector<std::uint32_t> order(cost.size()), next(cost.size());
+  std::iota(order.begin(), order.end(), 0u);
+  for (unsigned shift = 0; shift < 64 && !key.empty(); shift += 8) {
+    std::array<std::uint32_t, 257> start{};  // bucket b starts at start[b]
+    for (std::uint64_t k : key) ++start[(k >> shift & 0xff) + 1];
+    if (start[(key[0] >> shift & 0xff) + 1] == key.size()) continue;
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (std::uint32_t cell : order) next[start[key[cell] >> shift & 0xff]++] = cell;
+    order.swap(next);
+  }
+  if (warm != nullptr)
+    std::stable_partition(order.begin(), order.end(),
+                          [warm](std::uint32_t cell) { return (*warm)[cell] != 0; });
+  return order;
+}
 
 TransportationResult solve_transportation(const TransportationProblem& problem,
                                           const std::vector<double>* warm_flow) {

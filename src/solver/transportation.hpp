@@ -1,8 +1,8 @@
 // Specialized transportation-problem solver (least-cost start + MODI on a
-// spanning-tree basis). A pivot re-derives potentials only for the subtree
-// it moved, and Dantzig pricing rescans only rows whose lower bound on the
-// minimum reduced cost can still win, so no pivot walks the whole m*n grid
-// (DESIGN.md §13).
+// spanning-tree basis, DESIGN.md §13). The start takes cells in one total
+// (warm, cost, cell) order from an O(mn) radix sort; a pivot re-derives
+// potentials only for the subtree it moved, and block search prices about
+// sqrt(mn) cells from where the last search stopped.
 //
 // Once Trmin(i,j) is known, DUST's placement LP (Eq. 3) *is* a transportation
 // problem: supplies Cs_i that must ship fully, destination capacities Cd_j,
@@ -16,14 +16,17 @@
 //
 // Every solve that reaches the simplex records its two phases and its pivot
 // count in the global obs registry: dust_solver_start_ms (the initial
-// basis), dust_solver_pivot_ms (the pivot loop) and dust_solver_pivots.
+// basis), dust_solver_pivot_ms (the pivot loop) and dust_solver_pivots;
+// dust_solver_bland_fallbacks_total counts solves that fell back to Bland.
 //
 // A solve that exhausts its pivot budget is checked for plain feasibility
 // (a max flow over the allowed cells) and reports kInfeasible when the
-// supply cannot ship at all, kIterationLimit otherwise.
+// supply cannot ship at all, kIterationLimit otherwise. Each calling thread
+// keeps its largest m*n cost grid so far, reusing it on every later solve.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "solver/lp.hpp"
@@ -102,6 +105,12 @@ struct TransportationBasis {
 TransportationResult solve_transportation_dirty(
     const TransportationProblem& problem, TransportationBasis& basis,
     const std::vector<double>* warm_flow = nullptr);
+
+/// The least-cost start's order over `cost` (no NaN): cell indices by (warm
+/// first, cost, index), `warm` flagging one entry per cell when non-null.
+/// -0.0 and +0.0 are one cost. A stable LSD radix sort, O(cells).
+std::vector<std::uint32_t> least_cost_order(
+    const std::vector<double>& cost, const std::vector<char>* warm = nullptr);
 
 /// Express the same problem as a LinearProgram (variables row-major x_ij)
 /// for cross-checking against the general solvers.

@@ -1,6 +1,6 @@
 // O8: sharded (federated) placement vs the single-manager optimum
 // (DESIGN.md §16). Fat-tree pod cuts at k=4 and k=8, balanced cuts over
-// random graphs, the bounded-HFR-gap property, and the bit-identical pin
+// random graphs, the bounded-HFR-gap property, and the equal-optimum pin
 // when the global optimum never crosses a domain boundary.
 #include <gtest/gtest.h>
 
@@ -27,9 +27,8 @@ core::Nmdb random_load_nmdb(const graph::Graph& graph, util::Rng& rng,
                             double busy_fraction) {
   net::NetworkState state(graph);
   for (graph::NodeId v = 0; v < graph.node_count(); ++v) {
-    // Mostly comfortable candidates with distinct utilizations (unique
-    // optima — ties would make the bit-identical comparison vacuous), a
-    // sprinkle of busy nodes, a few neutral.
+    // Mostly comfortable candidates with distinct utilizations, a sprinkle
+    // of busy nodes, a few neutral.
     const double roll = rng.uniform();
     double util;
     if (roll < busy_fraction)
@@ -106,13 +105,10 @@ TEST(FederationOracle, HfrGapStaysBoundedWithAmpleSpare) {
   }
 }
 
-TEST(FederationOracle, BitIdenticalWhenEveryBusyNodeStaysInDomain) {
-  // All load and all spare live in shard 0; shard 1 is wall-to-wall
-  // neutral (not busy, not a candidate). The global optimum then cannot
-  // cross the cut, so O8 demands the sharded solves reproduce it exactly.
-  // Distinct utilizations keep the optimum unique.
-  graph::FatTree topo(4);
-  const auto partition = dust::federation::partition_fat_tree(topo, 2);
+// All load and all spare live in shard 0; shard 1 is wall-to-wall neutral
+// (not busy, not a candidate). The global optimum then cannot cross the cut.
+core::Nmdb one_domain_nmdb(const graph::FatTree& topo,
+                           const dust::federation::DomainPartition& partition) {
   net::NetworkState state(topo.graph());
   double candidate_util = 25.0;
   for (graph::NodeId v : partition.members[0])
@@ -121,7 +117,15 @@ TEST(FederationOracle, BitIdenticalWhenEveryBusyNodeStaysInDomain) {
   for (graph::NodeId v : partition.members[1])
     state.set_node_utilization(v, neutral_util += 0.75);  // neutral band
   state.set_node_utilization(topo.edge_switch(0, 0), 88.0);  // busy, shard 0
-  const core::Nmdb nmdb(std::move(state), core::Thresholds{});
+  return core::Nmdb(std::move(state), core::Thresholds{});
+}
+
+TEST(FederationOracle, BitIdenticalWhenEveryBusyNodeStaysInDomain) {
+  // The global optimum cannot cross the cut, so O8 demands the sharded
+  // solves reach it too: the same beta and the same load placed.
+  graph::FatTree topo(4);
+  const auto partition = dust::federation::partition_fat_tree(topo, 2);
+  const core::Nmdb nmdb = one_domain_nmdb(topo, partition);
 
   const auto cmp = compare_federated_placement(nmdb, partition,
                                                oracle_options());
@@ -136,6 +140,47 @@ TEST(FederationOracle, BitIdenticalWhenEveryBusyNodeStaysInDomain) {
   const auto whole = dust::federation::partition_fat_tree(topo, 1);
   EXPECT_TRUE(
       check_federated_placement(nmdb, whole, oracle_options()).empty());
+}
+
+TEST(FederationOracle, IdenticalComparesOptimaNotFlows) {
+  // At a degenerate optimum another split of the same load is just as
+  // optimal, so O8-identical accepts different flows at the same beta and
+  // fires on a worse beta or on load left unshipped.
+  graph::FatTree topo(4);
+  const auto partition = dust::federation::partition_fat_tree(topo, 2);
+  const core::Nmdb nmdb = one_domain_nmdb(topo, partition);
+  const FederatedComparison cmp =
+      compare_federated_placement(nmdb, partition, oracle_options());
+  ASSERT_TRUE(cmp.single_stayed_in_domain);
+  ASSERT_GE(cmp.local_assignment_count, 1u);
+  const auto identical_fires = [&](const FederatedComparison& c) {
+    for (const Violation& v : check_federated_comparison(nmdb, partition, c))
+      if (v.invariant == "O8-identical") return true;
+    return false;
+  };
+  EXPECT_FALSE(identical_fires(cmp));
+
+  // Same beta, different flows: half of the first assignment moves to
+  // another in-domain candidate.
+  FederatedComparison split = cmp;
+  core::Assignment moved = split.fed_assignments.front();
+  for (graph::NodeId c : nmdb.candidate_nodes())
+    if (partition.shard_of(c) == 0 && c != split.fed_assignments.front().to)
+      moved.to = c;
+  ASSERT_NE(moved.to, split.fed_assignments.front().to);
+  moved.amount /= 2.0;
+  split.fed_assignments.front().amount -= moved.amount;
+  split.fed_assignments.insert(split.fed_assignments.begin() + 1, moved);
+  ++split.local_assignment_count;
+  EXPECT_FALSE(identical_fires(split));
+
+  FederatedComparison worse = cmp;
+  worse.fed_local_objective += 1e-3;
+  EXPECT_TRUE(identical_fires(worse));
+
+  FederatedComparison short_shipped = cmp;
+  short_shipped.fed_assignments.front().amount -= 1e-3;
+  EXPECT_TRUE(identical_fires(short_shipped));
 }
 
 }  // namespace

@@ -15,6 +15,12 @@
 //   - the final offload table.
 // The recorded values must not change when the event core or the transport
 // is rebuilt: execution order is part of the simulator's contract.
+//
+// The offload-table hashes were re-recorded when the transportation simplex
+// moved to a radix-sorted start order and block-search pricing. The solver
+// reaches the same optimal flows along a different pivot path, so four
+// amounts (one at k=4, three at k=8) differ in their last bits, under
+// 1e-13 relative; every delivery, hop, destination and count is unchanged.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -294,7 +300,7 @@ TEST(ProtocolDigest, FatTreeK4) {
   expect_digest(run_fleet(4, 11),
                 FleetDigest{.deliveries = 0xfcd1dbe08c42bcbfull,
                             .hops = 0xbe6ead04181dc9dfull,
-                            .offloads = 0xb8535a9e76b2ea8eull,
+                            .offloads = 0x98164005ecc9df3dull,
                             .delivered = 842,
                             .tx_events = 903,
                             .drop_events = 56,
@@ -307,7 +313,7 @@ TEST(ProtocolDigest, FatTreeK8) {
   expect_digest(run_fleet(8, 23),
                 FleetDigest{.deliveries = 0xf01a1fabaf484795ull,
                             .hops = 0x7adff82eb1953e78ull,
-                            .offloads = 0x29ce9034fcfacdf4ull,
+                            .offloads = 0xd64ce16865ba3d96ull,
                             .delivered = 2674,
                             .tx_events = 2827,
                             .drop_events = 148,

@@ -1,30 +1,34 @@
-// Differential digest test for the transportation simplex.
+// Digest test for the transportation simplex.
 //
-// Every instance family below is generated from a fixed seed and solved; the
-// status, pivot count, dirty-path flag, objective bits and (for optimal
-// solves) raw flow bits of every solve are folded into one FNV-1a digest per
-// family. The expected digests were recorded from the dense-grid MODI
-// implementation that the spanning-tree basis replaced (relaxation-sweep
-// potentials, full-grid cycle DFS). The tree basis is required to reproduce
-// them bit for bit: tree potentials and the entering cycle are unique, a
-// subtree update computes each potential by the same expression as a full
-// walk, and the bounded pricing picks the cell a full row-major scan picks,
-// so the pivot sequence and every flow must be identical.
+// Every solve of the seeded families in solver_transportation_families.cpp
+// is folded into one FNV-1a digest per family: status, pivot count,
+// dirty-path flag, objective bits and (for optimal solves) raw flow bits.
+// Any change to the start order, the pricing or the pivot changes them.
 //
-// A legitimate change to the pivot rules changes these digests; re-record
-// them only together with a statement of why the pivot sequence moved.
+// The digests were re-recorded when two rules moved the pivot sequence on
+// purpose. The least-cost start now orders cells by (warm first, cost, cell
+// index) with a stable radix sort; before, equal costs came out in whatever
+// order std::sort's introsort left them, which no standard pins, so every
+// instance with tied costs starts from a different basis. And pricing is
+// block search, which enters the most negative cell of the first block of
+// cells holding an improving one, where lower-bounded Dantzig entered the
+// most negative cell of the whole grid; pivot counts change, and at a
+// degenerate optimum so do the final basis and flows. Statuses and
+// objectives did not move: solver_transportation_differential_test checks
+// them against values recorded from the previous rules.
+//
+// Re-record these only together with a statement of why the pivot
+// sequence moved.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <string>
-#include <vector>
 
+#include "obs/metrics.hpp"
 #include "solver/transportation.hpp"
-#include "util/rng.hpp"
+#include "solver_transportation_families.hpp"
 
 namespace dust::solver {
 namespace {
@@ -69,316 +73,103 @@ class Digest {
   std::size_t solves_ = 0;
 };
 
-double sum(const std::vector<double>& v) {
-  return std::accumulate(v.begin(), v.end(), 0.0);
-}
-
-// Continuous supplies and costs; capacities cover the supply with slack, so
-// the balanced instance carries a dummy row.
-TransportationProblem continuous_instance(util::Rng& rng, std::size_t m,
-                                          std::size_t n, double forbidden) {
-  TransportationProblem p;
-  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(0.5, 20.0));
-  const double total = sum(p.supply);
-  for (std::size_t j = 0; j < n; ++j)
-    p.capacity.push_back(1.3 * total / static_cast<double>(n) +
-                         rng.uniform(0.0, 5.0));
-  for (std::size_t c = 0; c < m * n; ++c)
-    p.cost.push_back(rng.bernoulli(forbidden) ? kInfinity
-                                              : rng.uniform(0.1, 10.0));
-  return p;
-}
-
-// Small-integer supplies, capacities and costs: exact quantity ties and many
-// equal-cost cells, the degenerate regime. `zero_columns` is the share of
-// destinations with zero capacity.
-TransportationProblem integer_instance(util::Rng& rng, std::size_t m,
-                                       std::size_t n, double forbidden,
-                                       double zero_columns, bool tight) {
-  TransportationProblem p;
-  for (std::size_t i = 0; i < m; ++i)
-    p.supply.push_back(static_cast<double>(rng.range(1, 5)));
-  for (std::size_t j = 0; j < n; ++j)
-    p.capacity.push_back(
-        rng.bernoulli(zero_columns) ? 0.0 : static_cast<double>(rng.range(1, 6)));
-  // Make capacity cover supply (and, when tight, match it exactly so the
-  // balanced instance has no dummy row).
-  double deficit = sum(p.supply) - sum(p.capacity);
-  for (std::size_t j = 0; deficit > 0; j = (j + 1) % n) {
-    p.capacity[j] += 1.0;
-    deficit -= 1.0;
-  }
-  if (tight) {
-    for (std::size_t j = 0; deficit < 0; j = (j + 1) % n) {
-      if (p.capacity[j] >= 1.0) {
-        p.capacity[j] -= 1.0;
-        deficit += 1.0;
-      }
-    }
-  }
-  for (std::size_t c = 0; c < m * n; ++c)
-    p.cost.push_back(rng.bernoulli(forbidden)
-                         ? kInfinity
-                         : static_cast<double>(rng.range(1, 4)));
-  return p;
-}
-
-void reprice(util::Rng& rng, TransportationProblem& p, double share) {
-  for (double& c : p.cost) {
-    if (c == kInfinity || !rng.bernoulli(share)) continue;
-    c = std::max(1e-9, c * rng.uniform(0.5, 2.0));
-  }
-}
-
 void expect_digest(const Digest& d, const char* expected) {
   EXPECT_EQ(d.hex(), expected) << "over " << d.solves() << " solves";
 }
 
-TEST(TransportationDigest, ColdSolves) {
-  util::Rng rng(0xC01Dull);
+using families::SolveSink;
+
+// Folds every solve of `family` into one digest.
+Digest digest_of(void (*family)(const SolveSink&)) {
   Digest d;
-  for (int t = 0; t < 80; ++t) {
-    const std::size_t m = static_cast<std::size_t>(rng.range(1, 30));
-    const std::size_t n = static_cast<std::size_t>(rng.range(1, 60));
-    d.add(solve_transportation(continuous_instance(rng, m, n, 0.0)));
-  }
-  // Placement-cycle sized: the shape of a k=16 fat-tree replan.
-  for (int t = 0; t < 3; ++t)
-    d.add(solve_transportation(continuous_instance(rng, 71, 178, 0.05)));
-  expect_digest(d, "a069e4de179e9a1c");
+  family([&d](const TransportationProblem&, const TransportationResult& r) {
+    d.add(r);
+  });
+  return d;
+}
+
+TEST(TransportationDigest, ColdSolves) {
+  expect_digest(digest_of(families::cold_solves), "7d87bc58b8ef8cb6");
 }
 
 TEST(TransportationDigest, WarmFlowHints) {
-  util::Rng rng(0x3A53ull);
-  Digest d;
-  for (int t = 0; t < 50; ++t) {
-    const std::size_t m = static_cast<std::size_t>(rng.range(2, 25));
-    const std::size_t n = static_cast<std::size_t>(rng.range(2, 50));
-    TransportationProblem p = continuous_instance(rng, m, n, 0.1);
-    const TransportationResult first = solve_transportation(p);
-    d.add(first);
-    reprice(rng, p, 0.2);
-    for (double& s : p.supply) s *= rng.uniform(0.95, 1.05);
-    d.add(solve_transportation(p, &first.flow));
-    // A hint of the wrong size is ignored.
-    const std::vector<double> wrong(first.flow.size() + 1, 1.0);
-    d.add(solve_transportation(p, &wrong));
-  }
-  expect_digest(d, "f5d8a8dbc5498b49");
+  expect_digest(digest_of(families::warm_flow_hints), "9046b6c50cfa186d");
 }
 
 TEST(TransportationDigest, DirtyBasisResolves) {
-  util::Rng rng(0xD127ull);
-  Digest d;
-  for (int t = 0; t < 40; ++t) {
-    const std::size_t m = static_cast<std::size_t>(rng.range(1, 20));
-    const std::size_t n = static_cast<std::size_t>(rng.range(1, 40));
-    TransportationProblem p = t % 2 == 0
-                                  ? continuous_instance(rng, m, n, 0.1)
-                                  : integer_instance(rng, m, n, 0.1, 0.1, t % 4 == 1);
-    TransportationBasis basis;
-    d.add(solve_transportation_dirty(p, basis));
-    for (int step = 0; step < 5; ++step) {
-      reprice(rng, p, 0.15);
-      if (rng.bernoulli(0.2)) p.cost[rng.below(p.cost.size())] = kInfinity;
-      const TransportationResult r = solve_transportation_dirty(p, basis);
-      d.add(r);
-      // The warm-flow hint is ignored on the dirty path but used on a
-      // fallback; pass the previous flow like the engine does.
-      if (step == 3 && r.optimal()) {
-        p.supply[0] += 0.5;
-        p.capacity[0] += 0.5;
-        d.add(solve_transportation_dirty(p, basis, &r.flow));
-      }
-    }
-  }
-  expect_digest(d, "102e9c95b40c2726");
+  expect_digest(digest_of(families::dirty_basis_resolves), "19fb77387895ca47");
 }
 
 TEST(TransportationDigest, IntegerTies) {
-  util::Rng rng(0x71E5ull);
-  Digest d;
-  for (int t = 0; t < 80; ++t) {
-    const std::size_t m = static_cast<std::size_t>(rng.range(1, 20));
-    const std::size_t n = static_cast<std::size_t>(rng.range(1, 30));
-    d.add(solve_transportation(integer_instance(rng, m, n, 0.0, 0.0, t % 2 == 0)));
-  }
-  expect_digest(d, "0d89555fb5851ca1");
+  expect_digest(digest_of(families::integer_ties), "f8e4ad8b3068c870");
 }
 
 TEST(TransportationDigest, ForbiddenCells) {
-  util::Rng rng(0xF0B1ull);
-  Digest d;
-  for (int t = 0; t < 60; ++t) {
-    const std::size_t m = static_cast<std::size_t>(rng.range(1, 20));
-    const std::size_t n = static_cast<std::size_t>(rng.range(1, 30));
-    const double forbidden = rng.uniform(0.2, 0.7);
-    d.add(solve_transportation(t % 2 == 0
-                                   ? continuous_instance(rng, m, n, forbidden)
-                                   : integer_instance(rng, m, n, forbidden, 0.0,
-                                                      t % 4 == 1)));
-  }
-  expect_digest(d, "0903e26b4ed7f069");
+  expect_digest(digest_of(families::forbidden_cells), "0d2bbd723ab896c9");
 }
 
 TEST(TransportationDigest, DummyRowAndInfeasible) {
-  util::Rng rng(0xDDDDull);
-  Digest d;
-  for (int t = 0; t < 40; ++t) {
-    const std::size_t m = static_cast<std::size_t>(rng.range(1, 15));
-    const std::size_t n = static_cast<std::size_t>(rng.range(1, 25));
-    TransportationProblem p = continuous_instance(rng, m, n, 0.2);
-    d.add(solve_transportation(p));  // dummy row absorbs the slack
-    // Exactly balanced: no dummy row.
-    const double scale = sum(p.supply) / sum(p.capacity);
-    for (double& c : p.capacity) c *= scale;
-    d.add(solve_transportation(p));
-    // Capacity short of supply: infeasible before any pivot.
-    p.capacity[0] *= 0.5;
-    d.add(solve_transportation(p));
-  }
-  // Zero total supply, no destinations, single cells.
-  TransportationProblem p;
-  p.supply = {0.0, 0.0};
-  p.capacity = {3.0};
-  p.cost = {1.0, 2.0};
-  d.add(solve_transportation(p));
-  p.capacity.clear();
-  p.cost.clear();
-  p.supply = {1.0};
-  d.add(solve_transportation(p));
-  p.capacity = {4.0};
-  p.cost = {2.5};
-  d.add(solve_transportation(p));
-  expect_digest(d, "f6fdb2fd941bc3ab");
+  expect_digest(digest_of(families::dummy_row_and_infeasible),
+                "4839c05ae861e39b");
 }
 
 // Zero-capacity columns behind forbidden (big-M) cells with integer
-// quantities: the regime where big-M cancellation noise made Dantzig pricing
-// cycle on theta=0 pivots, fixed by the magnitude-scaled tolerance and the
-// Bland fallback. Every listed seed drives its solve into Bland's rule.
-TransportationProblem cycling_instance(std::uint64_t seed, bool integer_costs) {
-  util::Rng rng(seed);
-  const auto m = static_cast<std::size_t>(rng.range(2, 40));
-  const auto n = static_cast<std::size_t>(rng.range(2, 60));
-  const double forbidden = rng.uniform(0.3, 0.95);
-  const double zero_columns = rng.uniform(0.1, 0.8);
-  TransportationProblem p;
-  for (std::size_t i = 0; i < m; ++i)
-    p.supply.push_back(static_cast<double>(rng.range(1, 5)));
-  for (std::size_t j = 0; j < n; ++j)
-    p.capacity.push_back(
-        rng.bernoulli(zero_columns) ? 0.0 : static_cast<double>(rng.range(1, 6)));
-  for (std::size_t c = 0; c < m * n; ++c)
-    p.cost.push_back(rng.bernoulli(forbidden) ? kInfinity
-                     : integer_costs ? static_cast<double>(rng.range(1, 4))
-                                     : rng.uniform(0.001, 100.0));
-  return p;
-}
-
-// The simplex's pivot budget for `p`: 100 * (rows + n)^2 + 1000, with the
-// dummy row counted when capacity exceeds supply.
-std::size_t iteration_budget(const TransportationProblem& p) {
-  const std::size_t rows =
-      p.sources() + (sum(p.capacity) > sum(p.supply) + 1e-9 ? 1 : 0);
-  const std::size_t nodes = rows + p.destinations();
-  return 100 * nodes * nodes + 1000;
-}
-
+// quantities: the regime where big-M cancellation noise can keep the
+// pricing cycling, held off by the magnitude-scaled tolerance and the Bland
+// fallback. Six solves switch to Bland's rule (the cold and first dirty
+// solves of seeds 148, 373 and 1137). Five spend the whole pivot budget
+// (the three of seed 148 and the cold and first dirty solves of seed 2756):
+// their instances cannot ship the full supply over allowed cells, and the
+// iteration-limit exit reports kInfeasible after a max-flow check. The
+// digest pins both through each solve's status and pivot count.
 TEST(TransportationDigest, DegenerateCycling) {
-  // Five of these solves (seeds 148 and 1137) spend the whole pivot budget.
-  // Their instances cannot ship the full supply over allowed cells, and the
-  // iteration-limit exit now says so (kInfeasible) where it used to report
-  // kIterationLimit. `recorded` folds those five back to kIterationLimit
-  // and must still match the digest recorded from the dense-grid code, so
-  // every pivot count, objective and flow is unchanged; `d` pins the
-  // statuses reported now.
-  Digest d;
-  Digest recorded;
-  const auto add = [&](const TransportationProblem& p, TransportationResult r) {
-    d.add(r);
-    if (r.status == Status::kInfeasible && r.iterations == iteration_budget(p))
-      r.status = Status::kIterationLimit;
-    recorded.add(r);
-  };
-  for (std::uint64_t seed : {148, 373, 514, 1137, 1650, 2756, 2785}) {
-    TransportationProblem p = cycling_instance(seed * 7919 + 2, false);
-    add(p, solve_transportation(p));
-    TransportationBasis basis;
-    add(p, solve_transportation_dirty(p, basis));
-    util::Rng rng(seed);
-    reprice(rng, p, 0.3);
-    add(p, solve_transportation_dirty(p, basis));
-  }
-  for (std::uint64_t seed : {240, 338, 2948}) {
-    TransportationProblem p = cycling_instance(seed * 7919 + 4, true);
-    add(p, solve_transportation(p));
-    TransportationBasis basis;
-    add(p, solve_transportation_dirty(p, basis));
-    util::Rng rng(seed);
-    reprice(rng, p, 0.3);
-    add(p, solve_transportation_dirty(p, basis));
-  }
-  expect_digest(recorded, "ef8d2bfb5ec2a19c");
-  expect_digest(d, "8ebc345e7668abe6");
+  expect_digest(digest_of(families::degenerate_cycling), "2baf557c652e2c77");
 }
 
-// The families below were recorded from the tree basis with full potential
-// walks and full-grid Dantzig pricing, before pricing and potentials became
-// incremental; they aim at the incremental bookkeeping's edges.
+// The same chains on seeds where block search falls back to Bland's rule
+// in 19 of 30 solves, so the lowest-index pricing, its tie-breaking on the
+// leaving arc and the full-tree potential walks stay covered. Each solve
+// that switches bumps dust_solver_bland_fallbacks_total once.
+TEST(TransportationDigest, BlandFallbacks) {
+  obs::Counter& fallbacks = obs::MetricRegistry::global().counter(
+      "dust_solver_bland_fallbacks_total");
+  const std::uint64_t before = fallbacks.value();
+  const Digest d = digest_of(families::bland_fallbacks);
+  EXPECT_EQ(fallbacks.value() - before, 19u);
+  expect_digest(d, "6d0c92d72289197d");
+}
+
+// A DegenerateCycling seed whose cold solve switches to Bland's rule bumps
+// dust_solver_bland_fallbacks_total exactly once; a solve that stays on
+// block search leaves it alone.
+TEST(TransportationMetrics, BlandFallbackCounted) {
+  obs::Counter& fallbacks = obs::MetricRegistry::global().counter(
+      "dust_solver_bland_fallbacks_total");
+  const std::uint64_t before = fallbacks.value();
+  TransportationProblem p;
+  p.supply = {300, 400, 500};
+  p.capacity = {250, 350, 600};
+  p.cost = {3, 1, 7, 2, 6, 5, 8, 3, 3};
+  ASSERT_TRUE(solve_transportation(p).optimal());
+  EXPECT_EQ(fallbacks.value(), before);
+  const TransportationResult r =
+      solve_transportation(families::cycling_instance(373 * 7919 + 2, false));
+  EXPECT_EQ(r.status, Status::kInfeasible);
+  EXPECT_EQ(fallbacks.value(), before + 1);
+}
 
 // Edge shapes: a single row or a single column, and narrow grids whose
 // width leaves odd tails in a row pass. With n <= 3 many rows end up with
 // every cell basic, so their pricing rows hold no candidate at all.
 TEST(TransportationDigest, EdgeShapes) {
-  util::Rng rng(0xED6Eull);
-  Digest d;
-  const auto solve_chain = [&](TransportationProblem p) {
-    d.add(solve_transportation(p));
-    TransportationBasis basis;
-    d.add(solve_transportation_dirty(p, basis));
-    for (int step = 0; step < 3; ++step) {
-      reprice(rng, p, 0.4);
-      d.add(solve_transportation_dirty(p, basis));
-    }
-  };
-  for (std::size_t n : {1, 2, 3, 5, 7, 9, 40})
-    solve_chain(continuous_instance(rng, 1, n, 0.0));
-  for (std::size_t m : {1, 2, 3, 6, 25}) {
-    solve_chain(continuous_instance(rng, m, 1, 0.0));
-    solve_chain(integer_instance(rng, m, 1, 0.0, 0.0, true));
-  }
-  for (std::size_t n : {2, 3, 5, 7}) {
-    for (int t = 0; t < 6; ++t) {
-      const auto m = static_cast<std::size_t>(rng.range(2, 30));
-      solve_chain(t % 2 == 0
-                      ? continuous_instance(rng, m, n, 0.1 * t)
-                      : integer_instance(rng, m, n, 0.1 * t, 0.0, t % 3 == 1));
-    }
-  }
-  expect_digest(d, "5417285e1bb15b49");
+  expect_digest(digest_of(families::edge_shapes), "84d68e051b72206b");
 }
 
 // Long dirty-basis chains: every solve after the first resumes from the
 // previous optimal tree with about 30% of the cells repriced, so most
 // pivots run straight after seed_basis on a basis far from optimal.
 TEST(TransportationDigest, LongDirtyChains) {
-  util::Rng rng(0xC4A1ull);
-  Digest d;
-  for (int t = 0; t < 8; ++t) {
-    const auto m = static_cast<std::size_t>(rng.range(5, 40));
-    const auto n = static_cast<std::size_t>(rng.range(5, 80));
-    TransportationProblem p = t % 2 == 0
-                                  ? continuous_instance(rng, m, n, 0.05)
-                                  : integer_instance(rng, m, n, 0.05, 0.1, t % 4 == 1);
-    TransportationBasis basis;
-    d.add(solve_transportation_dirty(p, basis));
-    for (int step = 0; step < 24; ++step) {
-      reprice(rng, p, 0.3);
-      d.add(solve_transportation_dirty(p, basis));
-    }
-  }
-  expect_digest(d, "b456ef56bab7769f");
+  expect_digest(digest_of(families::long_dirty_chains), "958b9de8267bb3a1");
 }
 
 // Replan-shaped: 71 busy rows by 178 candidates plus the dummy row, costs
@@ -386,30 +177,7 @@ TEST(TransportationDigest, LongDirtyChains) {
 // forbidden, and each cycle redraws 5% of the loads and passes the previous
 // optimum as the warm hint, like a k=16 replan.
 TEST(TransportationDigest, ReplanShaped) {
-  util::Rng rng(0x4E91ull);
-  Digest d;
-  constexpr std::size_t m = 71, n = 178;
-  TransportationProblem p;
-  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(0.5, 20.0));
-  const double total = sum(p.supply);
-  for (std::size_t j = 0; j < n; ++j)
-    p.capacity.push_back(1.5 * total / static_cast<double>(n) +
-                         rng.uniform(0.0, 2.0));
-  const double levels[] = {0.8, 1.2, 1.6, 2.4, 3.2};
-  for (std::size_t c = 0; c < m * n; ++c)
-    p.cost.push_back(rng.bernoulli(0.05) ? kInfinity : levels[rng.below(5)]);
-  TransportationResult last = solve_transportation(p);
-  d.add(last);
-  for (int cycle = 0; cycle < 12; ++cycle) {
-    for (double& s : p.supply)
-      if (rng.bernoulli(0.05)) s = rng.uniform(0.5, 20.0);
-    if (cycle % 4 == 3)
-      for (double& c : p.cost)
-        if (c != kInfinity && rng.bernoulli(0.02)) c = levels[rng.below(5)];
-    last = solve_transportation(p, last.optimal() ? &last.flow : nullptr);
-    d.add(last);
-  }
-  expect_digest(d, "cc361faf641447ed");
+  expect_digest(digest_of(families::replan_shaped), "d74b8d556f742b87");
 }
 
 }  // namespace

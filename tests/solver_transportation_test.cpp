@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "obs/metrics.hpp"
@@ -135,6 +138,89 @@ TEST(Transportation, NegativeInputsThrow) {
   p.supply = {1.0};
   p.capacity = {-5.0};
   EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+}
+
+// A NaN breaks every comparison the start order and pricing make, so each
+// input rejects it, even where the instance would be trivial otherwise.
+TEST(Transportation, NaNInputsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TransportationProblem p;
+  p.supply = {1.0, 2.0};
+  p.capacity = {5.0};
+  p.cost = {1.0, nan};
+  EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+  p.supply = {0.0, 0.0};  // nothing to ship
+  EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+  p.cost = {1.0, 2.0};
+  p.supply = {1.0, nan};
+  EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+  p.supply = {1.0, 2.0};
+  p.capacity = {nan};
+  EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+  TransportationBasis basis;
+  EXPECT_THROW(solve_transportation_dirty(p, basis), std::invalid_argument);
+}
+
+// Equal costs leave the start order to the cell index alone, so the
+// least-cost start is the north-west corner allocation, whatever the sort
+// algorithm; every reduced cost is zero, so it is also the optimum.
+TEST(Transportation, AllEqualCostsStartAtNorthWestCorner) {
+  util::Rng rng(0x4E57ull);
+  constexpr std::size_t m = 12, n = 20;
+  TransportationProblem p;
+  for (std::size_t i = 0; i < m; ++i)
+    p.supply.push_back(static_cast<double>(rng.range(1, 9)));
+  double left = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    p.capacity.push_back(std::min(left, static_cast<double>(rng.range(1, 5))));
+    left -= p.capacity.back();
+  }
+  p.capacity.push_back(left);  // tight: no dummy row
+  p.cost.assign(m * n, 2.5);
+  std::vector<double> corner(m * n, 0.0);
+  std::vector<double> supply = p.supply, demand = p.capacity;
+  for (std::size_t i = 0, j = 0; i < m && j < n;) {
+    const double q = std::min(supply[i], demand[j]);
+    corner[i * n + j] = q;
+    supply[i] -= q;
+    demand[j] -= q;
+    if (supply[i] == 0.0) ++i;
+    if (demand[j] == 0.0) ++j;
+  }
+  const TransportationResult r = solve_transportation(p);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_EQ(r.flow, corner);
+}
+
+// The radix order is the (warm first, cost, cell) order a stable comparison
+// sort gives over cells in index order: negative and positive costs, exact
+// duplicates, -0.0 next to +0.0, subnormals and big-M magnitudes.
+TEST(Transportation, LeastCostOrderMatchesStableSort) {
+  util::Rng rng(0x50F7ull);
+  const double pool[] = {-0.0, 0.0, -1.5, 1.5, 3.0, -1e-310, 1e-310,
+                         7.0e13, -7.0e13, 1e6};
+  for (int t = 0; t < 1000; ++t) {
+    const auto cells = static_cast<std::size_t>(rng.range(1, 400));
+    std::vector<double> cost;
+    std::vector<char> warm;
+    for (std::size_t c = 0; c < cells; ++c) {
+      cost.push_back(rng.bernoulli(0.5) ? pool[rng.below(std::size(pool))]
+                                        : rng.uniform(-100.0, 100.0));
+      warm.push_back(rng.bernoulli(0.2) ? 1 : 0);
+    }
+    const bool hinted = t % 2 == 1;
+    std::vector<std::uint32_t> expected(cells);
+    std::iota(expected.begin(), expected.end(), 0u);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       if (hinted && warm[a] != warm[b])
+                         return warm[a] > warm[b];
+                       return cost[a] < cost[b];
+                     });
+    EXPECT_EQ(least_cost_order(cost, hinted ? &warm : nullptr), expected)
+        << "instance " << t;
+  }
 }
 
 TEST(Transportation, CostSizeMismatchThrows) {
