@@ -44,10 +44,12 @@ struct ManagerConfig {
   std::int64_t offload_request_retry_ms = 0;
   /// Incremental placement pipeline (DESIGN.md §8): reuse Trmin rows across
   /// cycles via a dirty-aware cache and warm-start the solver from the
-  /// previous cycle's flow. With the default link epsilon of 0 the plans are
-  /// identical to full recomputation (warm starts change the pivot path, not
-  /// the optimum); steady-state cycles get dramatically cheaper. Off by
-  /// default so explicitly configured optimizer options are untouched.
+  /// previous cycle's flow, remapped by node id when nodes changed roles
+  /// since. With the default link epsilon of 0 the plans are optimal exactly
+  /// as with full recomputation (warm starts change the pivot path, not the
+  /// optimum, though at a tie they may pick another equal-cost plan);
+  /// steady-state cycles get dramatically cheaper. Off by default so
+  /// explicitly configured optimizer options are untouched.
   bool incremental_placement = false;
   /// Keepalive hysteresis: a supervised destination is declared failed only
   /// after this many *consecutive* keepalive checks found it overdue. The

@@ -154,7 +154,7 @@ struct EngineMetrics {
   obs::Counter& warm_solves;
   obs::Counter& cold_solves;
   obs::Counter& dirty_resolves;
-  obs::Counter& warm_shape_fallback;
+  obs::Counter& remapped_starts;
   obs::Counter& warm_verify_mismatch;
   obs::Histogram& warm_solve_ms;
   obs::Histogram& cold_solve_ms;
@@ -170,13 +170,49 @@ struct EngineMetrics {
         registry.counter("dust_solver_warm_solves_total"),
         registry.counter("dust_solver_cold_solves_total"),
         registry.counter("dust_solver_dirty_resolves_total"),
-        registry.counter("dust_solver_warm_shape_fallback_total"),
+        registry.counter("dust_solver_remapped_starts_total"),
         registry.counter("dust_solver_warm_verify_mismatch_total"),
         registry.histogram("dust_solver_warm_solve_ms"),
         registry.histogram("dust_solver_cold_solve_ms")};
     return metrics;
   }
 };
+
+// The retained optimum `flow` over `busy` x `candidates`, moved onto the
+// problem's busy x candidates grid by node id: rows and columns whose node
+// is in both cycles' sets keep their flows, new ones get none. Neither
+// cycle's sets need be sorted.
+std::vector<double> remap_flow(const std::vector<graph::NodeId>& busy,
+                               const std::vector<graph::NodeId>& candidates,
+                               const std::vector<double>& flow,
+                               const PlacementProblem& problem) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  graph::NodeId max_node = 0;
+  for (graph::NodeId b : busy) max_node = std::max(max_node, b);
+  for (graph::NodeId o : candidates) max_node = std::max(max_node, o);
+  std::vector<std::size_t> old_row(static_cast<std::size_t>(max_node) + 1, kNone);
+  std::vector<std::size_t> old_col(static_cast<std::size_t>(max_node) + 1, kNone);
+  for (std::size_t bi = 0; bi < busy.size(); ++bi) old_row[busy[bi]] = bi;
+  for (std::size_t cj = 0; cj < candidates.size(); ++cj)
+    old_col[candidates[cj]] = cj;
+  const std::size_t n = problem.candidates.size();
+  std::vector<std::size_t> col_of(n);  // new column -> old column
+  for (std::size_t cj = 0; cj < n; ++cj) {
+    const graph::NodeId o = problem.candidates[cj];
+    col_of[cj] = o <= max_node ? old_col[o] : kNone;
+  }
+  std::vector<double> remapped(problem.busy.size() * n, 0.0);
+  for (std::size_t bi = 0; bi < problem.busy.size(); ++bi) {
+    const graph::NodeId b = problem.busy[bi];
+    const std::size_t row = b <= max_node ? old_row[b] : kNone;
+    if (row == kNone) continue;
+    const double* from = flow.data() + row * candidates.size();
+    double* to = remapped.data() + bi * n;
+    for (std::size_t cj = 0; cj < n; ++cj)
+      if (col_of[cj] != kNone) to[cj] = from[col_of[cj]];
+  }
+  return remapped;
+}
 
 }  // namespace
 
@@ -295,22 +331,25 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
                              warm_.busy == problem.busy &&
                              warm_.candidates == problem.candidates;
   const bool warm = options_.warm_start && shape_matches;
-  if (options_.warm_start && warm_.valid && !shape_matches)
-    metrics.warm_shape_fallback.inc();
-
   PlacementResult result;
   util::Timer timer;
+  // Across churn the retained optimum still holds the flows between nodes
+  // both cycles share: remapped by node id, it seeds the start instead.
+  const bool remap = options_.warm_start && warm_.valid && !shape_matches;
+  std::vector<double> remapped;
+  if (remap)
+    remapped = remap_flow(warm_.busy, warm_.candidates, warm_.flow, problem);
   const solver::TransportationProblem t = to_transportation(problem);
   // Under warm_start the solver also consults/refreshes the retained basis:
   // if this instance differs from the previous one in cost cells only, it
   // re-optimizes from that basis (dirty-basis path) and ignores the flow
-  // hint; otherwise the flow hint seeds a fresh least-cost start as before.
-  // A shape mismatch at the engine level implies mismatched balanced
-  // quantities at the solver level, so the basis never leaks across shapes.
+  // hint; otherwise the flow hint seeds a fresh least-cost start. A basis
+  // adopted across a shape change is still primal-feasible: the dirty path
+  // requires bit-identical supplies and capacities, which its flows meet.
   solver::TransportationResult solved =
       options_.warm_start
-          ? solver::solve_transportation_dirty(t, warm_.basis,
-                                               warm ? &warm_.flow : nullptr)
+          ? solver::solve_transportation_dirty(
+                t, warm_.basis, warm ? &warm_.flow : remap ? &remapped : nullptr)
           : solver::solve_transportation(t);
   result.status = solved.status;
   result.solver_iterations = solved.iterations;
@@ -323,6 +362,12 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
     ++warm_.dirty_resolves;
     metrics.dirty_resolves.inc();
   }
+  // A remapped start is still a cold solve: the shape changed.
+  const bool remapped_start = remap && !solved.dirty_resolve;
+  if (remapped_start) {
+    ++warm_.remapped_starts;
+    metrics.remapped_starts.inc();
+  }
   if (warm || solved.dirty_resolve) {
     ++warm_.warm_solves;
     metrics.warm_solves.inc();
@@ -333,10 +378,11 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
     metrics.cold_solve_ms.observe(result.solve_seconds * 1e3);
   }
 
-  if ((warm || solved.dirty_resolve) && options_.verify_warm_start) {
-    // Debug cross-check: a warm start may only change the pivot path, never
-    // the optimum. Disagreement means a solver bug — count it and trust the
-    // cold answer.
+  if ((warm || solved.dirty_resolve || remapped_start) &&
+      options_.verify_warm_start) {
+    // Debug cross-check: a warm or remapped start may only change the pivot
+    // path, never the optimum. Disagreement means a solver bug — count it
+    // and trust the cold answer.
     solver::TransportationResult cold = solver::solve_transportation(t);
     const bool agree =
         cold.status == solved.status &&

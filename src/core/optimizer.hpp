@@ -24,20 +24,23 @@ struct OptimizerOptions {
   /// min-cost max-offload solve and report the remainder in `unplaced`.
   bool allow_partial = false;
   /// Incremental pipeline (DESIGN.md §8): retain the previous cycle's
-  /// optimal flow and use it to seed the next solve's starting basis when
-  /// the problem shape (busy/candidate sets) is unchanged; cold solve
-  /// otherwise. Additionally retains the simplex basis itself: when only
-  /// cost cells changed since the previous solve (supplies and capacities
-  /// bit-identical — the common steady-state case where links churn but
-  /// node loads hold), MODI resumes from the old basis directly instead of
-  /// rebuilding an initial solution (dirty-basis re-solve, DESIGN.md §13).
+  /// optimal flow and use it to seed the next solve's starting basis. When
+  /// the busy/candidate sets changed, the flow is first remapped onto the
+  /// new sets by node id (nodes in both cycles keep their rows and columns,
+  /// new ones start empty). Additionally retains the simplex basis itself:
+  /// when only cost cells changed since the previous solve (supplies and
+  /// capacities bit-identical — the common steady-state case where links
+  /// churn but node loads hold), MODI resumes from the old basis directly
+  /// instead of rebuilding an initial solution (dirty-basis re-solve,
+  /// DESIGN.md §13).
   /// kTransportation only; other backends always solve cold.
   /// Makes the engine stateful across solve() calls — keep one engine per
   /// control loop (or per thread) rather than sharing an instance.
   bool warm_start = false;
-  /// Debug cross-check: after every warm-started solve, also solve cold and
-  /// compare objectives; on disagreement log an error and return the cold
-  /// result. Costs a full extra solve per cycle — tests/debugging only.
+  /// Debug cross-check: after every warm-started, dirty or remapped solve,
+  /// also solve cold and compare objectives; on disagreement count it and
+  /// return the cold result. Costs a full extra solve per cycle —
+  /// tests/debugging only.
   bool verify_warm_start = false;
 };
 
@@ -63,7 +66,8 @@ class OptimizationEngine {
   [[nodiscard]] PlacementResult solve(const PlacementProblem& problem) const;
 
   /// Warm solves since construction (shape matched and the previous flow
-  /// seeded the basis) — observable for tests and benches.
+  /// seeded the basis) — observable for tests and benches. Every other
+  /// solve counts as cold, remapped starts included.
   [[nodiscard]] std::size_t warm_solves() const noexcept {
     return warm_.warm_solves;
   }
@@ -74,6 +78,11 @@ class OptimizationEngine {
   /// MODI resumed from the retained basis with no initial-solution build).
   [[nodiscard]] std::size_t dirty_resolves() const noexcept {
     return warm_.dirty_resolves;
+  }
+  /// Cold solves whose start was seeded from the previous optimum remapped
+  /// by node id onto changed busy/candidate sets.
+  [[nodiscard]] std::size_t remapped_starts() const noexcept {
+    return warm_.remapped_starts;
   }
   /// Drop the retained flow and basis (next solve is cold).
   void reset_warm_state() const noexcept {
@@ -101,6 +110,7 @@ class OptimizationEngine {
     std::size_t warm_solves = 0;
     std::size_t cold_solves = 0;
     std::size_t dirty_resolves = 0;
+    std::size_t remapped_starts = 0;
   };
 
   OptimizerOptions options_;

@@ -90,10 +90,10 @@ using Arc = TransportationBasis::Cell;
 class TransportSimplex {
  public:
   /// Prices in place on `grid`, the balanced m*n costs. `warm_cells`, when
-  /// non-null, flags cells to allocate first in the initial solution (see
-  /// solve_transportation's warm_flow doc).
+  /// non-null, lists in index order the cells to allocate first in the
+  /// initial solution (see solve_transportation's warm_flow doc).
   TransportSimplex(const Balanced& bal, std::vector<double>& grid,
-                   const std::vector<char>* warm_cells = nullptr)
+                   const std::vector<std::uint32_t>* warm_cells = nullptr)
       : bal_(bal),
         warm_cells_(warm_cells),
         price_(grid),
@@ -164,24 +164,43 @@ class TransportSimplex {
     return node == row ? bal_.m + arcs_[arc].index % bal_.n : row;
   }
 
-  // Least-cost method: repeatedly allocate to the cheapest open cell. With a
-  // warm hint, previously-used cells are allocated first (cheapest first
-  // among them) so the start reproduces the prior basis structure wherever
-  // supplies/demands still admit it.
+  // Least-cost method: repeatedly allocate to the cheapest open cell, in
+  // (warm first, cost, cell) order. With a warm hint, previously-used cells
+  // are allocated first (cheapest first among them) so the start reproduces
+  // the prior basis structure wherever supplies/demands still admit it.
   void least_cost_start() {
     std::vector<double> remaining_supply = bal_.supply;
     std::vector<double> remaining_demand = bal_.demand;
-    // Cells in (warm first, cost, cell) order once; skip exhausted rows/cols
-    // while scanning.
-    for (std::size_t cell : least_cost_order(price_, warm_cells_)) {
-      const std::size_t i = cell / bal_.n;
-      const std::size_t j = cell % bal_.n;
-      if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
-      const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
-      add_arc(cell, quantity);
-      remaining_supply[i] -= quantity;
-      remaining_demand[j] -= quantity;
+    // Allocates to `cells` in order, skipping exhausted rows and columns.
+    const auto allocate = [&](const std::vector<std::uint32_t>& cells) {
+      for (std::size_t cell : cells) {
+        const std::size_t i = cell / bal_.n;
+        const std::size_t j = cell % bal_.n;
+        if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
+        const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
+        add_arc(cell, quantity);
+        remaining_supply[i] -= quantity;
+        remaining_demand[j] -= quantity;
+      }
+    };
+    if (warm_cells_ == nullptr) {
+      allocate(least_cost_order(price_));
+      return;
     }
+    allocate(least_cost_order(price_, warm_cells_));
+    // Exhaustion is monotone and each warm cell left its row or its column
+    // exhausted, so the full order would skip every cell but those whose
+    // row and column are both still open (none basic yet, so each still
+    // prices at its cost): sort just those, in index order, and the
+    // allocations match the full order's bit for bit.
+    std::vector<std::uint32_t> open_columns, open_cells;
+    for (std::size_t j = 0; j < bal_.n; ++j)
+      if (remaining_demand[j] > kEps) open_columns.push_back(j);
+    for (std::size_t i = 0; i < bal_.m; ++i) {
+      if (remaining_supply[i] <= kEps) continue;
+      for (std::uint32_t j : open_columns) open_cells.push_back(i * bal_.n + j);
+    }
+    allocate(least_cost_order(price_, &open_cells));
   }
 
   // The basis must be a spanning tree with exactly m + n - 1 cells. The
@@ -375,7 +394,7 @@ class TransportSimplex {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   const Balanced& bal_;
-  const std::vector<char>* warm_cells_ = nullptr;
+  const std::vector<std::uint32_t>* warm_cells_ = nullptr;
   bool bland_ = false;
   std::vector<double>& price_;    ///< m*n pricing grid: cost, or +inf if basic
   std::vector<Arc> arcs_;         ///< basic cells and their flows
@@ -459,19 +478,19 @@ TransportationResult solve_impl(const TransportationProblem& problem,
                      basis->n == bal.n && basis->supply == bal.supply &&
                      basis->demand == bal.demand;
 
-  // Translate the warm flow grid (real rows only) into balanced-instance
-  // cell priorities; the dummy row, when present, stays unprioritized.
-  std::vector<char> warm_cells;
-  if (!dirty && warm_flow != nullptr && warm_flow->size() == m * n) {
-    warm_cells.assign(bal.m * bal.n, 0);
+  // Translate the warm flow grid (real rows only) into the balanced
+  // instance's warm cells, in index order; the dummy row, when present,
+  // stays unprioritized.
+  const bool hinted = !dirty && warm_flow != nullptr && warm_flow->size() == m * n;
+  std::vector<std::uint32_t> warm_cells;
+  if (hinted)
     for (std::size_t cell = 0; cell < m * n; ++cell)
       if ((*warm_flow)[cell] > kEps && problem.cost[cell] != kInfinity)
-        warm_cells[cell] = 1;  // never prioritize a now-forbidden route
-  }
+        warm_cells.push_back(cell);  // never prioritize a now-forbidden route
   // Two timer reads split the solve into the initial basis (least-cost
   // start plus repair, or adopting the retained tree) and the pivot loop.
   util::Timer timer;
-  TransportSimplex simplex(bal, grid, warm_cells.empty() ? nullptr : &warm_cells);
+  TransportSimplex simplex(bal, grid, hinted ? &warm_cells : nullptr);
   if (dirty) {
     simplex.seed_basis(basis->cells);
     result.dirty_resolve = true;
@@ -494,21 +513,25 @@ TransportationResult solve_impl(const TransportationProblem& problem,
                                                      : Status::kIterationLimit;
     return result;
   }
-  // Check forbidden cells and extract the real rows' flows (dummy-row cells
-  // index past m*n).
+  // Check forbidden cells and take the real rows' basic arcs (dummy-row
+  // cells index past m*n) in cell order, the order the objective sums in.
+  std::vector<Arc> real_arcs;
   for (const Arc& arc : simplex.arcs()) {
-    if (arc.index < m * n && arc.flow > kEps &&
-        problem.cost[arc.index] == kInfinity) {
+    if (arc.index >= m * n) continue;
+    if (arc.flow > kEps && problem.cost[arc.index] == kInfinity) {
       if (basis != nullptr) basis->valid = false;
       result.status = Status::kInfeasible;  // needed a forbidden route
       return result;
     }
+    real_arcs.push_back(arc);
   }
-  for (const Arc& arc : simplex.arcs())
-    if (arc.index < m * n) result.flow[arc.index] = arc.flow;
+  std::sort(real_arcs.begin(), real_arcs.end(),
+            [](const Arc& a, const Arc& b) { return a.index < b.index; });
   double objective = 0.0;
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    if (result.flow[cell] > 0) objective += result.flow[cell] * problem.cost[cell];
+  for (const Arc& arc : real_arcs) {
+    result.flow[arc.index] = arc.flow;
+    if (arc.flow > 0) objective += arc.flow * problem.cost[arc.index];
+  }
   result.objective = objective;
   result.status = Status::kOptimal;
   if (basis != nullptr) {
@@ -524,27 +547,28 @@ TransportationResult solve_impl(const TransportationProblem& problem,
 
 }  // namespace
 
-std::vector<std::uint32_t> least_cost_order(const std::vector<double>& cost,
-                                            const std::vector<char>* warm) {
+std::vector<std::uint32_t> least_cost_order(
+    const std::vector<double>& cost, const std::vector<std::uint32_t>* cells) {
   if (cost.size() > UINT32_MAX)
     throw std::length_error("least_cost_order: more than 2^32 cells");
-  // Stable LSD radix sort of the cell indices on their cost keys, 8 bits a
-  // pass; a pass whose digit is the same for every key is skipped.
-  std::vector<std::uint64_t> key(cost.size());
-  std::transform(cost.begin(), cost.end(), key.begin(), order_key);
-  std::vector<std::uint32_t> order(cost.size()), next(cost.size());
+  // Stable LSD radix sort of the positions in `cells` on their cost keys,
+  // 8 bits a pass; a pass whose digit is the same for every key is skipped.
+  const std::size_t count = cells != nullptr ? cells->size() : cost.size();
+  std::vector<std::uint64_t> key(count);
+  for (std::size_t at = 0; at < count; ++at)
+    key[at] = order_key(cost[cells != nullptr ? (*cells)[at] : at]);
+  std::vector<std::uint32_t> order(count), next(count);
   std::iota(order.begin(), order.end(), 0u);
-  for (unsigned shift = 0; shift < 64 && !key.empty(); shift += 8) {
+  for (unsigned shift = 0; shift < 64 && count != 0; shift += 8) {
     std::array<std::uint32_t, 257> start{};  // bucket b starts at start[b]
     for (std::uint64_t k : key) ++start[(k >> shift & 0xff) + 1];
-    if (start[(key[0] >> shift & 0xff) + 1] == key.size()) continue;
+    if (start[(key[0] >> shift & 0xff) + 1] == count) continue;
     std::partial_sum(start.begin(), start.end(), start.begin());
-    for (std::uint32_t cell : order) next[start[key[cell] >> shift & 0xff]++] = cell;
+    for (std::uint32_t at : order) next[start[key[at] >> shift & 0xff]++] = at;
     order.swap(next);
   }
-  if (warm != nullptr)
-    std::stable_partition(order.begin(), order.end(),
-                          [warm](std::uint32_t cell) { return (*warm)[cell] != 0; });
+  if (cells != nullptr)
+    for (std::uint32_t& at : order) at = (*cells)[at];
   return order;
 }
 

@@ -1,8 +1,9 @@
 // Specialized transportation-problem solver (least-cost start + MODI on a
 // spanning-tree basis, DESIGN.md §13). The start takes cells in one total
-// (warm, cost, cell) order from an O(mn) radix sort; a pivot re-derives
-// potentials only for the subtree it moved, and block search prices about
-// sqrt(mn) cells from where the last search stopped.
+// (warm, cost, cell) order from an O(mn) radix sort, which under a warm hint
+// sorts only the warm cells and then the cells still open; a pivot
+// re-derives potentials only for the subtree it moved, and block search
+// prices about sqrt(mn) cells from where the last search stopped.
 //
 // Once Trmin(i,j) is known, DUST's placement LP (Eq. 3) *is* a transportation
 // problem: supplies Cs_i that must ship fully, destination capacities Cd_j,
@@ -106,11 +107,14 @@ TransportationResult solve_transportation_dirty(
     const TransportationProblem& problem, TransportationBasis& basis,
     const std::vector<double>* warm_flow = nullptr);
 
-/// The least-cost start's order over `cost` (no NaN): cell indices by (warm
-/// first, cost, index), `warm` flagging one entry per cell when non-null.
-/// -0.0 and +0.0 are one cost. A stable LSD radix sort, O(cells).
+/// The least-cost start's order: `*cells`, indices into `cost` (no NaN at
+/// them), sorted by (cost, position in `cells`), or every cell of `cost`
+/// by (cost, index) when `cells` is null. -0.0 and +0.0 are one cost. A
+/// stable LSD radix sort, O(cells). The start runs it on every cell cold,
+/// and under a warm hint on the warm cells and then on the cells still open.
 std::vector<std::uint32_t> least_cost_order(
-    const std::vector<double>& cost, const std::vector<char>* warm = nullptr);
+    const std::vector<double>& cost,
+    const std::vector<std::uint32_t>* cells = nullptr);
 
 /// Express the same problem as a LinearProgram (variables row-major x_ij)
 /// for cross-checking against the general solvers.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
 #include "core/heuristic.hpp"
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
@@ -297,6 +301,166 @@ TEST(Optimizer, WarmStateSurvivesBusySetEmptyingMidChurn) {
   const PlacementResult warm = engine.solve(p);
   EXPECT_DOUBLE_EQ(warm.objective, first.objective);
   EXPECT_EQ(engine.warm_solves(), 1u);
+}
+
+// Moves a few nodes between roles: two busy nodes leave and three join,
+// candidates swap with neutral nodes, and one busy node becomes a candidate.
+void churn_roles(Nmdb& nmdb, util::Rng& rng) {
+  const Thresholds t;
+  net::NetworkState& net = nmdb.network();
+  std::vector<graph::NodeId> busy, candidates, neutral;
+  for (graph::NodeId v = 0; v < net.node_count(); ++v) {
+    switch (t.classify(net.node_utilization(v))) {
+      case NodeRole::kBusy: busy.push_back(v); break;
+      case NodeRole::kOffloadCandidate: candidates.push_back(v); break;
+      default: neutral.push_back(v); break;
+    }
+  }
+  const auto pick = [&rng](std::vector<graph::NodeId>& from) {
+    const std::size_t at = rng.below(from.size());
+    const graph::NodeId v = from[at];
+    from.erase(from.begin() + static_cast<std::ptrdiff_t>(at));
+    return v;
+  };
+  const auto set = [&](graph::NodeId v, double lo, double hi) {
+    net.set_node_utilization(v, rng.uniform(lo, hi));
+  };
+  const double neutral_lo = t.co_max + 1.0, neutral_hi = t.c_max - 1.0;
+  for (int k = 0; k < 2 && busy.size() > 2; ++k)
+    set(pick(busy), neutral_lo, neutral_hi);  // busy leaves
+  for (int k = 0; k < 3 && neutral.size() + candidates.size() > 2; ++k)
+    set(pick(neutral.empty() ? candidates : neutral), t.c_max + 0.5,
+        t.c_max + 8.0);  // busy joins
+  if (!candidates.empty() && !neutral.empty()) {  // candidates swap
+    set(pick(candidates), neutral_lo, neutral_hi);
+    set(pick(neutral), t.x_min + 1.0, t.co_max - 1.0);
+  }
+  if (!busy.empty()) set(pick(busy), t.x_min + 1.0, t.co_max - 1.0);
+}
+
+// The same model with its busy rows and candidate columns in random order.
+PlacementProblem shuffled(const PlacementProblem& p, util::Rng& rng) {
+  const std::size_t m = p.busy.size(), n = p.candidates.size();
+  std::vector<std::size_t> rows(m), cols(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  std::iota(cols.begin(), cols.end(), 0);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  std::shuffle(cols.begin(), cols.end(), rng);
+  PlacementProblem q = p;
+  q.trmin.clear();
+  for (std::size_t bi = 0; bi < m; ++bi) {
+    q.busy[bi] = p.busy[rows[bi]];
+    q.cs[bi] = p.cs[rows[bi]];
+    if (!p.busy_factor.empty()) q.busy_factor[bi] = p.busy_factor[rows[bi]];
+    for (std::size_t cj = 0; cj < n; ++cj)
+      q.trmin.push_back(p.trmin[rows[bi] * n + cols[cj]]);
+  }
+  for (std::size_t cj = 0; cj < n; ++cj) {
+    q.candidates[cj] = p.candidates[cols[cj]];
+    q.cd[cj] = p.cd[cols[cj]];
+    if (!p.candidate_factor.empty())
+      q.candidate_factor[cj] = p.candidate_factor[cols[cj]];
+  }
+  return q;
+}
+
+// Across churn a warm engine remaps its last optimum onto the new busy and
+// candidate sets by node id. The start changes, the optimum may not: status
+// and objective match a cold engine's every cycle, and every cycle that
+// follows an optimum on changed sets is a remapped start.
+TEST(Optimizer, RemappedStartsMatchColdAcrossChurn) {
+  for (const std::uint32_t k : {4u, 8u}) {
+    util::Rng rng(0xC0FFEEull + k);
+    Nmdb nmdb = random_fat_tree_nmdb(k, 31 + k);
+    OptimizerOptions cold_options;
+    cold_options.placement.max_hops = 4;
+    cold_options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
+    OptimizerOptions warm_options = cold_options;
+    warm_options.warm_start = true;
+    const OptimizationEngine warm_engine(warm_options);
+    const OptimizationEngine cold_engine(cold_options);
+    std::size_t remaps = 0, optimal = 0;
+    bool retained = false;
+    PlacementProblem last;
+    for (int cycle = 0; cycle < 50; ++cycle) {
+      churn_roles(nmdb, rng);
+      const PlacementProblem problem =
+          shuffled(build_placement_problem(nmdb, cold_options.placement), rng);
+      const std::size_t dirty = warm_engine.dirty_resolves();
+      const PlacementResult w = warm_engine.solve(problem);
+      const PlacementResult c = cold_engine.solve(problem);
+      ASSERT_EQ(w.status, c.status) << "k=" << k << " cycle " << cycle;
+      if (c.optimal()) {
+        ++optimal;
+        EXPECT_NEAR(w.objective, c.objective,
+                    1e-9 * std::max(1.0, std::abs(c.objective)))
+            << "k=" << k << " cycle " << cycle;
+        EXPECT_LT(placement_violation(problem, w), 1e-6);
+      }
+      if (retained && !problem.busy.empty() &&
+          (problem.busy != last.busy || problem.candidates != last.candidates) &&
+          warm_engine.dirty_resolves() == dirty)
+        ++remaps;
+      retained = w.optimal() && !problem.busy.empty();
+      last = problem;
+    }
+    EXPECT_EQ(warm_engine.remapped_starts(), remaps) << "k=" << k;
+    EXPECT_GE(optimal, 40u) << "k=" << k;
+    EXPECT_GE(remaps, 35u) << "k=" << k;
+  }
+}
+
+// The remapped hint is the last optimum moved by node id: the engine's
+// remapped solve takes exactly the pivots, and reaches exactly the
+// objective, of the solver handed that grid directly.
+TEST(Optimizer, RemapCarriesFlowsByNodeId) {
+  util::Rng rng(0x4E3Aull);
+  Nmdb nmdb = random_fat_tree_nmdb(8, 12);
+  OptimizerOptions options;
+  options.placement.max_hops = 4;
+  options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
+  options.warm_start = true;
+  const OptimizationEngine engine(options);
+  const auto transportation = [](const PlacementProblem& p) {
+    solver::TransportationProblem t;
+    t.supply = p.cs;
+    t.capacity = p.cd;
+    t.cost = p.trmin;
+    return t;
+  };
+  const PlacementProblem first = build_placement_problem(nmdb, options.placement);
+  ASSERT_TRUE(engine.solve(first).optimal());
+  // The engine's first solve, bit for bit: cold, with no hint.
+  const solver::TransportationResult last =
+      solver::solve_transportation(transportation(first));
+  churn_roles(nmdb, rng);
+  const PlacementProblem next =
+      shuffled(build_placement_problem(nmdb, options.placement), rng);
+  std::vector<double> hint(next.busy.size() * next.candidates.size(), 0.0);
+  double carried = 0.0;
+  for (std::size_t bi = 0; bi < next.busy.size(); ++bi) {
+    const auto row = std::find(first.busy.begin(), first.busy.end(), next.busy[bi]);
+    if (row == first.busy.end()) continue;
+    for (std::size_t cj = 0; cj < next.candidates.size(); ++cj) {
+      const auto col = std::find(first.candidates.begin(), first.candidates.end(),
+                                 next.candidates[cj]);
+      if (col == first.candidates.end()) continue;
+      const double flow = last.flow[static_cast<std::size_t>(row - first.busy.begin()) *
+                                        first.candidates.size() +
+                                    static_cast<std::size_t>(col - first.candidates.begin())];
+      hint[bi * next.candidates.size() + cj] = flow;
+      carried += flow;
+    }
+  }
+  ASSERT_GT(carried, 0.0);
+  const PlacementResult remapped = engine.solve(next);
+  ASSERT_EQ(engine.remapped_starts(), 1u);
+  const solver::TransportationResult direct =
+      solver::solve_transportation(transportation(next), &hint);
+  ASSERT_TRUE(direct.optimal());
+  EXPECT_EQ(remapped.status, direct.status);
+  EXPECT_EQ(remapped.solver_iterations, direct.iterations);
+  EXPECT_EQ(remapped.objective, direct.objective);
 }
 
 TEST(Optimizer, MultipleBusyShareOneDestination) {

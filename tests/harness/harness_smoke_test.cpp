@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "check/shrink.hpp"
+#include "obs/metrics.hpp"
 
 namespace dust::check {
 namespace {
@@ -32,8 +33,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HarnessSmoke,
 
 // The fuzz only proves something if the generated population actually
 // exercises the interesting machinery: offloads, keepalive failures with
-// replica substitution, and message drops from the fault schedules.
+// replica substitution, message drops from the fault schedules, and warm
+// starts remapped across churn, each cross-checked against a cold solve.
 TEST(HarnessSmokeCoverage, PopulationExercisesProtocolAndFaults) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  obs::Counter& remaps = registry.counter("dust_solver_remapped_starts_total");
+  obs::Counter& mismatches =
+      registry.counter("dust_solver_warm_verify_mismatch_total");
+  const std::uint64_t remaps_before = remaps.value();
+  const std::uint64_t mismatches_before = mismatches.value();
   std::size_t offloads = 0, keepalive_failures = 0, oracle_cycles = 0;
   std::uint64_t reps = 0, dropped = 0;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
@@ -49,6 +57,8 @@ TEST(HarnessSmokeCoverage, PopulationExercisesProtocolAndFaults) {
   EXPECT_GT(oracle_cycles, 0u);
   EXPECT_GT(reps, 0u);
   EXPECT_GT(dropped, 0u);
+  EXPECT_GT(remaps.value() - remaps_before, 0u);
+  EXPECT_EQ(mismatches.value() - mismatches_before, 0u);
 }
 
 }  // namespace

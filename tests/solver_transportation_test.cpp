@@ -193,33 +193,35 @@ TEST(Transportation, AllEqualCostsStartAtNorthWestCorner) {
   EXPECT_EQ(r.flow, corner);
 }
 
-// The radix order is the (warm first, cost, cell) order a stable comparison
-// sort gives over cells in index order: negative and positive costs, exact
-// duplicates, -0.0 next to +0.0, subnormals and big-M magnitudes.
+// The radix order of a list of cells is the order a stable comparison sort
+// by cost gives: negative and positive costs, exact duplicates, -0.0 next to
+// +0.0, subnormals and big-M magnitudes, over every cell in index order (the
+// cold start), a subset in index order (the warm phases) and a subset in any
+// order.
 TEST(Transportation, LeastCostOrderMatchesStableSort) {
   util::Rng rng(0x50F7ull);
   const double pool[] = {-0.0, 0.0, -1.5, 1.5, 3.0, -1e-310, 1e-310,
                          7.0e13, -7.0e13, 1e6};
-  for (int t = 0; t < 1000; ++t) {
-    const auto cells = static_cast<std::size_t>(rng.range(1, 400));
+  for (int t = 0; t < 1500; ++t) {
+    const auto size = static_cast<std::size_t>(rng.range(1, 400));
     std::vector<double> cost;
-    std::vector<char> warm;
-    for (std::size_t c = 0; c < cells; ++c) {
+    for (std::size_t c = 0; c < size; ++c)
       cost.push_back(rng.bernoulli(0.5) ? pool[rng.below(std::size(pool))]
                                         : rng.uniform(-100.0, 100.0));
-      warm.push_back(rng.bernoulli(0.2) ? 1 : 0);
-    }
-    const bool hinted = t % 2 == 1;
-    std::vector<std::uint32_t> expected(cells);
-    std::iota(expected.begin(), expected.end(), 0u);
+    std::vector<std::uint32_t> cells;
+    const double share = t % 3 == 0 ? 1.0 : rng.uniform(0.0, 1.0);
+    for (std::uint32_t c = 0; c < size; ++c)
+      if (rng.bernoulli(share)) cells.push_back(c);
+    if (t % 3 == 2) std::shuffle(cells.begin(), cells.end(), rng);
+    std::vector<std::uint32_t> expected = cells;
     std::stable_sort(expected.begin(), expected.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
-                       if (hinted && warm[a] != warm[b])
-                         return warm[a] > warm[b];
                        return cost[a] < cost[b];
                      });
-    EXPECT_EQ(least_cost_order(cost, hinted ? &warm : nullptr), expected)
-        << "instance " << t;
+    EXPECT_EQ(least_cost_order(cost, &cells), expected) << "instance " << t;
+    if (t % 3 == 0) {  // every cell in index order: the cold start's call
+      EXPECT_EQ(least_cost_order(cost), expected) << "instance " << t;
+    }
   }
 }
 
