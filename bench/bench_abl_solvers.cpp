@@ -1,4 +1,5 @@
-// Ablation (google-benchmark): the three exact placement backends on random
+// Ablation (google-benchmark): the two exact placement backends and the
+// general simplex that cross-checks them (oracle O1), on random
 // transportation instances of growing size. All return the same optimum
 // (asserted in tests); this bench quantifies the cost of generality —
 // transportation simplex < min-cost-flow << general simplex.

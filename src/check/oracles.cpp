@@ -7,6 +7,7 @@
 
 #include "net/response_cache.hpp"
 #include "solver/exhaustive.hpp"
+#include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
 #include "util/rng.hpp"
 
@@ -26,15 +27,6 @@ bool objectives_agree(double a, double b, double tolerance) {
                                                   std::abs(b)});
 }
 
-solver::TransportationProblem to_transportation(
-    const core::PlacementProblem& p) {
-  solver::TransportationProblem t;
-  t.supply = p.cs;
-  t.capacity = p.cd;
-  t.cost = p.trmin;
-  return t;
-}
-
 // Compact instance dump appended to O1/O2 violations so a disagreement is
 // reproducible straight from the failure message (the oracle only runs on
 // problems up to max_cells, so this stays small).
@@ -47,6 +39,10 @@ std::string describe_instance(const core::PlacementProblem& p) {
   for (double v : p.cd) os << ' ' << v;
   os << " | trmin:";
   for (double v : p.trmin) os << ' ' << v;
+  os << " | busy factors:";
+  for (double v : p.busy_factor) os << ' ' << v;
+  os << " | candidate factors:";
+  for (double v : p.candidate_factor) os << ' ' << v;
   os << ']';
   return os.str();
 }
@@ -57,60 +53,60 @@ std::vector<Violation> cross_check_solvers(const core::PlacementProblem& problem
                                            const OracleOptions& options) {
   std::vector<Violation> out;
   const std::size_t cells = problem.busy.size() * problem.candidates.size();
-  if (!options.check_solvers || problem.heterogeneous() ||
-      problem.busy.empty() || problem.candidates.empty() ||
-      cells > options.max_cells)
+  if (!options.check_solvers || problem.busy.empty() ||
+      problem.candidates.empty() || cells > options.max_cells)
     return out;
 
+  // Both engine backends solve the rescaled transportation form; the
+  // general simplex solves it as an LP.
+  const solver::TransportationProblem t = core::to_transportation(problem);
   struct Run {
-    core::SolverBackend backend;
-    core::PlacementResult result;
+    const char* name;
+    solver::Status status;
+    double objective;
   };
   std::vector<Run> runs;
   for (core::SolverBackend backend :
-       {core::SolverBackend::kTransportation, core::SolverBackend::kSimplex,
-        core::SolverBackend::kMinCostFlow}) {
+       {core::SolverBackend::kTransportation, core::SolverBackend::kMinCostFlow}) {
     core::OptimizerOptions opt;
     opt.backend = backend;
-    const core::OptimizationEngine engine(opt);
-    runs.push_back({backend, engine.solve(problem)});
+    const core::PlacementResult r = core::OptimizationEngine(opt).solve(problem);
+    runs.push_back({core::to_string(backend), r.status, r.objective});
   }
+  const solver::Solution simplex =
+      solver::solve_simplex(solver::to_linear_program(t));
+  runs.push_back({"simplex", simplex.status, simplex.objective});
   const Run& reference = runs.front();
   for (std::size_t r = 1; r < runs.size(); ++r) {
     const Run& other = runs[r];
-    if (other.result.status != reference.result.status) {
+    if (other.status != reference.status) {
       out.push_back({"O1-solver-agreement",
-                     std::string(core::to_string(other.backend)) +
-                         " status differs from " +
-                         core::to_string(reference.backend) +
-                         describe_instance(problem)});
+                     std::string(other.name) + " status differs from " +
+                         reference.name + describe_instance(problem)});
       continue;
     }
-    if (reference.result.optimal() &&
-        !objectives_agree(other.result.objective, reference.result.objective,
+    if (reference.status == solver::Status::kOptimal &&
+        !objectives_agree(other.objective, reference.objective,
                           options.tolerance))
       out.push_back({"O1-solver-agreement",
-                     std::string(core::to_string(other.backend)) +
-                         " objective " + fmt(other.result.objective) +
-                         " != " + core::to_string(reference.backend) + " " +
-                         fmt(reference.result.objective)});
+                     std::string(other.name) + " objective " +
+                         fmt(other.objective) + " != " + reference.name + " " +
+                         fmt(reference.objective)});
   }
 
-  const solver::TransportationProblem t = to_transportation(problem);
   if (solver::exhaustive_base_count(t) <= options.max_exhaustive_bases) {
     const solver::TransportationResult truth =
         solver::solve_transportation_exhaustive(
             t, options.max_exhaustive_bases + 1);
-    if (truth.status != reference.result.status)
+    if (truth.status != reference.status)
       out.push_back({"O2-exhaustive", "brute-force verdict differs from " +
-                                          std::string(core::to_string(
-                                              reference.backend))});
+                                          std::string(reference.name)});
     else if (truth.optimal() &&
-             !objectives_agree(truth.objective, reference.result.objective,
+             !objectives_agree(truth.objective, reference.objective,
                                options.tolerance))
       out.push_back({"O2-exhaustive",
                      "brute-force optimum " + fmt(truth.objective) + " != " +
-                         fmt(reference.result.objective)});
+                         fmt(reference.objective)});
   }
   return out;
 }
@@ -161,8 +157,7 @@ std::vector<Violation> cross_check_nmdb(const core::Nmdb& nmdb,
 
   // O3: warm-started re-solve of the identical problem must land on the
   // cold objective (warm hints change the pivot path, never the optimum).
-  if (options.check_warm_start && !fresh.busy.empty() &&
-      !fresh.heterogeneous()) {
+  if (options.check_warm_start && !fresh.busy.empty()) {
     core::OptimizerOptions cold_opt;
     const core::OptimizationEngine cold_engine(cold_opt);
     const core::PlacementResult cold = cold_engine.solve(fresh);
@@ -194,8 +189,8 @@ std::vector<Violation> cross_check_nmdb(const core::Nmdb& nmdb,
   // solve every step is eligible for the fast path — a step that silently
   // fell back would hide the very code under test, so that is flagged too.
   if (options.check_dirty_basis && !fresh.busy.empty() &&
-      !fresh.candidates.empty() && !fresh.heterogeneous()) {
-    solver::TransportationProblem t = to_transportation(fresh);
+      !fresh.candidates.empty()) {
+    solver::TransportationProblem t = core::to_transportation(fresh);
     solver::TransportationBasis basis;
     const solver::TransportationResult primed =
         solver::solve_transportation_dirty(t, basis);

@@ -50,8 +50,8 @@ struct OracleOptions {
   std::uint64_t dirty_basis_seed = 0xD0575EEDull;
 };
 
-/// O1 + O2 on an already-built (homogeneous) problem. Heterogeneous
-/// problems are skipped — only the general simplex models platform factors.
+/// O1 + O2 on an already-built problem, platform factors included: every
+/// solver sees the same rescaled transportation form (core::to_transportation).
 [[nodiscard]] std::vector<Violation> cross_check_solvers(
     const core::PlacementProblem& problem, const OracleOptions& options = {});
 

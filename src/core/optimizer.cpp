@@ -16,21 +16,18 @@ namespace {
 
 constexpr double kAmountEps = 1e-9;
 
-solver::TransportationProblem to_transportation(const PlacementProblem& p) {
-  solver::TransportationProblem t;
-  t.supply = p.cs;
-  t.capacity = p.cd;
-  t.cost = p.trmin;
-  return t;
-}
-
+// Map the optimum y back to the model's x = y / f_i; `trmin_seconds` stays
+// the unscaled Trmin(i,j).
 void extract_assignments(const PlacementProblem& problem,
                          const std::vector<double>& flow,
                          PlacementResult& result) {
   const std::size_t n = problem.candidates.size();
   for (std::size_t bi = 0; bi < problem.busy.size(); ++bi) {
+    const double f = problem.busy_factor.empty() ? 1.0 : problem.busy_factor[bi];
     for (std::size_t cj = 0; cj < n; ++cj) {
-      const double amount = flow[bi * n + cj];
+      // Most cells carry no flow: skip them before paying for the division.
+      if (flow[bi * n + cj] <= 0.0) continue;
+      const double amount = flow[bi * n + cj] / f;
       if (amount <= kAmountEps) continue;
       result.assignments.push_back(Assignment{
           problem.busy[bi], problem.candidates[cj], amount,
@@ -39,79 +36,50 @@ void extract_assignments(const PlacementProblem& problem,
   }
 }
 
-// Generalized (heterogeneous) model: capacity rows carry the platform
-// coefficient f_i / f_j. No longer a pure transportation problem, so it is
-// solved with the general simplex regardless of the configured backend.
-solver::LinearProgram to_general_lp(const PlacementProblem& p,
-                                    bool supply_equality) {
-  const std::size_t m = p.busy.size();
-  const std::size_t n = p.candidates.size();
+// The rescaled model over y as an LP with its supply rows relaxed to ≤ (a
+// partial solve may leave load unplaced) and, when given, `objective` in
+// place of the cost.
+solver::LinearProgram relaxed_lp(const solver::TransportationProblem& t,
+                                 const std::vector<double>* objective = nullptr) {
+  const solver::LinearProgram exact = solver::to_linear_program(t);
   solver::LinearProgram lp;
-  for (std::size_t cell = 0; cell < m * n; ++cell) {
-    if (p.trmin[cell] == solver::kInfinity)
-      lp.add_variable(0.0, 0.0, 0.0);
-    else
-      lp.add_variable(0.0, solver::kInfinity, p.trmin[cell]);
+  for (std::size_t v = 0; v < exact.variable_count(); ++v) {
+    const solver::Variable& var = exact.variable(v);
+    lp.add_variable(var.lower, var.upper,
+                    objective != nullptr ? (*objective)[v] : var.objective);
   }
-  for (std::size_t bi = 0; bi < m; ++bi) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t cj = 0; cj < n; ++cj) terms.emplace_back(bi * n + cj, 1.0);
-    lp.add_constraint(std::move(terms),
-                      supply_equality ? solver::Sense::kEqual
-                                      : solver::Sense::kLessEqual,
-                      p.cs[bi]);
-  }
-  for (std::size_t cj = 0; cj < n; ++cj) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t bi = 0; bi < m; ++bi)
-      terms.emplace_back(bi * n + cj, p.capacity_coefficient(bi, cj));
-    lp.add_constraint(std::move(terms), solver::Sense::kLessEqual, p.cd[cj]);
+  for (solver::Constraint c : exact.constraints()) {
+    if (c.sense == solver::Sense::kEqual) c.sense = solver::Sense::kLessEqual;
+    lp.add_constraint(std::move(c));
   }
   return lp;
 }
 
-PlacementResult solve_heterogeneous_exact(const PlacementProblem& problem) {
-  PlacementResult result;
-  util::Timer timer;
-  const solver::LinearProgram lp = to_general_lp(problem, true);
-  const solver::Solution s = solver::solve_simplex(lp);
-  result.status = s.status;
-  result.solver_iterations = s.iterations;
-  if (s.optimal()) {
-    result.objective = s.objective;
-    extract_assignments(problem, s.values, result);
-  }
-  result.solve_seconds = timer.seconds();
-  return result;
-}
-
 PlacementResult solve_heterogeneous_partial(const PlacementProblem& problem) {
-  // Phase 1: maximize shipped load; phase 2: minimum cost at that level.
+  // Phase 1: maximize the shipped load Σ x = Σ y_ij / f_i, a weighted
+  // shipment that no pure network flow computes, so this stays on the
+  // general simplex; phase 2: minimum cost at that level.
   PlacementResult result;
   util::Timer timer;
-  const std::size_t total_vars = problem.busy.size() * problem.candidates.size();
-  solver::LinearProgram max_ship = to_general_lp(problem, false);
-  {
-    // Overwrite objective: maximize Σ x == minimize -Σ x.
-    solver::LinearProgram rebuilt;
-    for (std::size_t v = 0; v < max_ship.variable_count(); ++v) {
-      const solver::Variable& var = max_ship.variable(v);
-      rebuilt.add_variable(var.lower, var.upper, -1.0);
-    }
-    for (std::size_t c = 0; c < max_ship.constraint_count(); ++c)
-      rebuilt.add_constraint(max_ship.constraint(c));
-    max_ship = std::move(rebuilt);
-  }
-  const solver::Solution ship = solver::solve_simplex(max_ship);
+  const solver::TransportationProblem t = to_transportation(problem);
+  const std::size_t n = t.destinations();
+  std::vector<double> ship_objective(t.cost.size());  // -1 / f_i per cell
+  for (std::size_t cell = 0; cell < ship_objective.size(); ++cell)
+    ship_objective[cell] =
+        -1.0 / (problem.busy_factor.empty() ? 1.0
+                                            : problem.busy_factor[cell / n]);
+  const solver::Solution ship =
+      solver::solve_simplex(relaxed_lp(t, &ship_objective));
   if (!ship.optimal()) {
     result.status = ship.status;
     result.solve_seconds = timer.seconds();
     return result;
   }
   const double shipped = -ship.objective;
-  solver::LinearProgram min_cost = to_general_lp(problem, false);
+  solver::LinearProgram min_cost = relaxed_lp(t);
   std::vector<std::pair<std::size_t, double>> all;
-  for (std::size_t v = 0; v < total_vars; ++v) all.emplace_back(v, 1.0);
+  for (std::size_t cell = 0; cell < ship_objective.size(); ++cell)
+    all.emplace_back(cell, -ship_objective[cell]);
   // Slight slack keeps the pinned total numerically feasible.
   min_cost.add_constraint(std::move(all), solver::Sense::kGreaterEqual,
                           shipped * (1.0 - 1e-9) - 1e-9);
@@ -127,12 +95,75 @@ PlacementResult solve_heterogeneous_partial(const PlacementProblem& problem) {
   return result;
 }
 
+// Successive shortest paths over source -> busy row i (Cs'_i) -> candidate
+// j (Trmin'_ij, uncapacitated) -> sink (Cd'_j) on the transportation form:
+// ships as much as the capacities allow at least cost. In exact mode a
+// shortfall is reported infeasible; otherwise it is left in `unplaced`.
+PlacementResult solve_min_cost_flow(const PlacementProblem& problem,
+                                    bool exact) {
+  PlacementResult result;
+  util::Timer timer;
+  const solver::TransportationProblem t = to_transportation(problem);
+  const std::size_t m = t.sources();
+  const std::size_t n = t.destinations();
+  solver::MinCostFlow mcf(m + n + 2);
+  const std::size_t source = m + n;
+  const std::size_t sink = m + n + 1;
+  double supply = 0.0;
+  for (std::size_t bi = 0; bi < m; ++bi) {
+    mcf.add_arc(source, bi, t.supply[bi], 0.0);
+    supply += t.supply[bi];
+  }
+  std::vector<std::size_t> arc_of(m * n, static_cast<std::size_t>(-1));
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    if (t.cost[cell] != solver::kInfinity)
+      arc_of[cell] =
+          mcf.add_arc(cell / n, m + cell % n, solver::kInfinity, t.cost[cell]);
+  for (std::size_t cj = 0; cj < n; ++cj)
+    mcf.add_arc(m + cj, sink, t.capacity[cj], 0.0);
+  const solver::MinCostFlow::FlowResult f = mcf.solve(source, sink);
+  result.solver_iterations = f.augmentations;
+  if (exact && f.max_flow + 1e-6 < supply) {
+    result.status = solver::Status::kInfeasible;
+    result.solve_seconds = timer.seconds();
+    return result;
+  }
+  result.status = solver::Status::kOptimal;
+  result.objective = f.total_cost;
+  if (!exact) result.unplaced = std::max(0.0, supply - f.max_flow);
+  std::vector<double> flow(m * n, 0.0);
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    if (arc_of[cell] != static_cast<std::size_t>(-1))
+      flow[cell] = mcf.arc_flow(arc_of[cell]);
+  extract_assignments(problem, flow, result);
+  result.solve_seconds = timer.seconds();
+  return result;
+}
+
 }  // namespace
+
+solver::TransportationProblem to_transportation(const PlacementProblem& p) {
+  solver::TransportationProblem t;
+  t.supply = p.cs;
+  t.capacity = p.cd;
+  t.cost = p.trmin;
+  if (!p.busy_factor.empty())
+    for (std::size_t bi = 0; bi < t.supply.size(); ++bi) {
+      const double f = p.busy_factor[bi];
+      if (f == 1.0) continue;  // x * 1.0 == x and c / 1.0 == c
+      t.supply[bi] *= f;
+      for (std::size_t cj = 0; cj < t.capacity.size(); ++cj)
+        t.cost[bi * t.capacity.size() + cj] /= f;
+    }
+  if (!p.candidate_factor.empty())
+    for (std::size_t cj = 0; cj < t.capacity.size(); ++cj)
+      t.capacity[cj] *= p.candidate_factor[cj];
+  return t;
+}
 
 const char* to_string(SolverBackend backend) noexcept {
   switch (backend) {
     case SolverBackend::kTransportation: return "transportation";
-    case SolverBackend::kSimplex: return "simplex";
     case SolverBackend::kMinCostFlow: return "min-cost-flow";
   }
   return "?";
@@ -268,59 +299,9 @@ PlacementResult OptimizationEngine::solve(const PlacementProblem& problem) const
 
 PlacementResult OptimizationEngine::solve_exact(
     const PlacementProblem& problem) const {
-  if (problem.heterogeneous()) return solve_heterogeneous_exact(problem);
-  PlacementResult result;
-  util::Timer timer;
-  switch (options_.backend) {
-    case SolverBackend::kTransportation:
-      return solve_transportation_backend(problem);
-    case SolverBackend::kSimplex: {
-      const solver::LinearProgram lp =
-          solver::to_linear_program(to_transportation(problem));
-      const solver::Solution s = solver::solve_simplex(lp);
-      result.status = s.status;
-      result.solver_iterations = s.iterations;
-      if (s.optimal()) {
-        result.objective = s.objective;
-        extract_assignments(problem, s.values, result);
-      }
-      break;
-    }
-    case SolverBackend::kMinCostFlow: {
-      // Exact solve via MCMF: feasible iff max-flow == ΣCs over finite arcs.
-      const std::size_t m = problem.busy.size();
-      const std::size_t n = problem.candidates.size();
-      solver::MinCostFlow mcf(m + n + 2);
-      const std::size_t source = m + n;
-      const std::size_t sink = m + n + 1;
-      for (std::size_t bi = 0; bi < m; ++bi)
-        mcf.add_arc(source, bi, problem.cs[bi], 0.0);
-      std::vector<std::size_t> arc_of(m * n, static_cast<std::size_t>(-1));
-      for (std::size_t bi = 0; bi < m; ++bi)
-        for (std::size_t cj = 0; cj < n; ++cj)
-          if (problem.trmin[bi * n + cj] != solver::kInfinity)
-            arc_of[bi * n + cj] = mcf.add_arc(bi, m + cj, solver::kInfinity,
-                                              problem.trmin[bi * n + cj]);
-      for (std::size_t cj = 0; cj < n; ++cj)
-        mcf.add_arc(m + cj, sink, problem.cd[cj], 0.0);
-      const solver::MinCostFlow::FlowResult f = mcf.solve(source, sink);
-      result.solver_iterations = f.augmentations;
-      if (f.max_flow + 1e-6 < problem.total_excess()) {
-        result.status = solver::Status::kInfeasible;
-        break;
-      }
-      result.status = solver::Status::kOptimal;
-      result.objective = f.total_cost;
-      std::vector<double> flow(m * n, 0.0);
-      for (std::size_t cell = 0; cell < m * n; ++cell)
-        if (arc_of[cell] != static_cast<std::size_t>(-1))
-          flow[cell] = mcf.arc_flow(arc_of[cell]);
-      extract_assignments(problem, flow, result);
-      break;
-    }
-  }
-  result.solve_seconds = timer.seconds();
-  return result;
+  if (options_.backend == SolverBackend::kMinCostFlow)
+    return solve_min_cost_flow(problem, true);
+  return solve_transportation_backend(problem);
 }
 
 PlacementResult OptimizationEngine::solve_transportation_backend(
@@ -418,37 +399,7 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
 PlacementResult OptimizationEngine::solve_partial(
     const PlacementProblem& problem) const {
   if (problem.heterogeneous()) return solve_heterogeneous_partial(problem);
-  // Min-cost max-offload: ship as much of ΣCs as the reachable capacity
-  // allows, at minimum cost; the remainder is reported as unplaced.
-  PlacementResult result;
-  util::Timer timer;
-  const std::size_t m = problem.busy.size();
-  const std::size_t n = problem.candidates.size();
-  solver::MinCostFlow mcf(m + n + 2);
-  const std::size_t source = m + n;
-  const std::size_t sink = m + n + 1;
-  for (std::size_t bi = 0; bi < m; ++bi)
-    mcf.add_arc(source, bi, problem.cs[bi], 0.0);
-  std::vector<std::size_t> arc_of(m * n, static_cast<std::size_t>(-1));
-  for (std::size_t bi = 0; bi < m; ++bi)
-    for (std::size_t cj = 0; cj < n; ++cj)
-      if (problem.trmin[bi * n + cj] != solver::kInfinity)
-        arc_of[bi * n + cj] = mcf.add_arc(bi, m + cj, solver::kInfinity,
-                                          problem.trmin[bi * n + cj]);
-  for (std::size_t cj = 0; cj < n; ++cj)
-    mcf.add_arc(m + cj, sink, problem.cd[cj], 0.0);
-  const solver::MinCostFlow::FlowResult f = mcf.solve(source, sink);
-  result.solver_iterations = f.augmentations;
-  result.status = solver::Status::kOptimal;
-  result.objective = f.total_cost;
-  result.unplaced = std::max(0.0, problem.total_excess() - f.max_flow);
-  std::vector<double> flow(m * n, 0.0);
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    if (arc_of[cell] != static_cast<std::size_t>(-1))
-      flow[cell] = mcf.arc_flow(arc_of[cell]);
-  extract_assignments(problem, flow, result);
-  result.solve_seconds = timer.seconds();
-  return result;
+  return solve_min_cost_flow(problem, false);
 }
 
 }  // namespace dust::core

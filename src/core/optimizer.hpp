@@ -1,7 +1,9 @@
 // Optimization engine: solves the placement model (paper Eq. 3) with a
 // choice of exact backends, plus a partial-offload fallback for infeasible
 // instances (documented extension — the paper reports such instances as
-// "infeasible optimization", Fig. 7).
+// "infeasible optimization", Fig. 7). Platform factors are rescaled away
+// (to_transportation), so every exact solve, heterogeneous or not, is a
+// pure transportation problem for the same two backends.
 #pragma once
 
 #include "core/placement.hpp"
@@ -11,11 +13,19 @@ namespace dust::core {
 
 enum class SolverBackend {
   kTransportation,  ///< dedicated transportation simplex (default, fastest)
-  kSimplex,         ///< general two-phase simplex on the LP form
   kMinCostFlow,     ///< successive-shortest-paths on the bipartite graph
 };
 
 [[nodiscard]] const char* to_string(SolverBackend backend) noexcept;
+
+/// The model as a pure transportation problem. With y_ij = f_i·x_ij (f busy
+/// and g candidate platform factors) the factor-weighted capacity rows
+/// Σ_i (f_i/g_j)·x_ij ≤ Cd_j become Σ_i y_ij ≤ g_j·Cd_j, so supply'_i =
+/// f_i·Cs_i, capacity'_j = g_j·Cd_j and cost'_ij = Trmin_ij / f_i; a flow y
+/// maps back to x_ij = y_ij / f_i at the same objective. On a homogeneous
+/// problem this is the identity, bit for bit.
+[[nodiscard]] solver::TransportationProblem to_transportation(
+    const PlacementProblem& problem);
 
 struct OptimizerOptions {
   PlacementOptions placement;

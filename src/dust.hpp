@@ -20,10 +20,8 @@
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
 
-// solver — LP/MILP/transportation/min-cost-flow suite (the Gurobi stand-in).
-#include "solver/branch_and_bound.hpp"
+// solver — LP/transportation/min-cost-flow suite (the Gurobi stand-in).
 #include "solver/lp.hpp"
-#include "solver/lp_format.hpp"
 #include "solver/min_cost_flow.hpp"
 #include "solver/simplex.hpp"
 #include "solver/transportation.hpp"

@@ -16,11 +16,10 @@ const char* to_string(Status status) noexcept {
 }
 
 std::size_t LinearProgram::add_variable(double lower, double upper,
-                                        double objective, bool integer,
-                                        std::string name) {
+                                        double objective) {
   if (!(lower <= upper))
     throw std::invalid_argument("LinearProgram: lower > upper for variable");
-  variables_.push_back(Variable{lower, upper, objective, integer, std::move(name)});
+  variables_.push_back(Variable{lower, upper, objective});
   return variables_.size() - 1;
 }
 
@@ -36,12 +35,6 @@ void LinearProgram::add_constraint(Constraint constraint) {
 void LinearProgram::add_constraint(
     std::vector<std::pair<std::size_t, double>> terms, Sense sense, double rhs) {
   add_constraint(Constraint{std::move(terms), sense, rhs});
-}
-
-bool LinearProgram::has_integer_variables() const noexcept {
-  for (const Variable& var : variables_)
-    if (var.integer) return true;
-  return false;
 }
 
 double LinearProgram::objective_value(const std::vector<double>& x) const {

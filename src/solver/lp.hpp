@@ -1,14 +1,16 @@
-// Linear/mixed-integer program model and solution types.
+// Linear program model and solution types.
 //
-// This is the in-tree replacement for the Gurobi toolkit the paper used: the
-// DUST placement model (Eq. 3) is built against this API and solved by the
-// simplex engine (simplex.hpp), by branch-and-bound when integrality is
-// requested (branch_and_bound.hpp), or — exploiting its structure — by the
-// dedicated transportation solver (transportation.hpp).
+// This is the in-tree replacement for the Gurobi toolkit the paper used. The
+// DUST placement model (Eq. 3) is a transportation problem once platform
+// factors are rescaled (core::to_transportation), solved by the dedicated
+// transportation solver (transportation.hpp); the general simplex
+// (simplex.hpp) solves its LP form as a cross-check and the models that are
+// not pure networks (heterogeneous partial offload, multi-resource).
 #pragma once
 
+#include <cstddef>
 #include <limits>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace dust::solver {
@@ -37,15 +39,12 @@ struct Variable {
   double lower = 0.0;
   double upper = kInfinity;
   double objective = 0.0;
-  bool integer = false;
-  std::string name;
 };
 
-/// Minimization LP/MILP. Variables are referenced by dense index.
+/// Minimization LP. Variables are referenced by dense index.
 class LinearProgram {
  public:
-  std::size_t add_variable(double lower, double upper, double objective,
-                           bool integer = false, std::string name = {});
+  std::size_t add_variable(double lower, double upper, double objective);
 
   /// Terms may repeat a variable; coefficients are summed.
   void add_constraint(Constraint constraint);
@@ -70,7 +69,6 @@ class LinearProgram {
   [[nodiscard]] const std::vector<Constraint>& constraints() const noexcept {
     return constraints_;
   }
-  [[nodiscard]] bool has_integer_variables() const noexcept;
 
   /// Objective value of an assignment (no feasibility check).
   [[nodiscard]] double objective_value(const std::vector<double>& x) const;
@@ -87,7 +85,7 @@ struct Solution {
   Status status = Status::kInfeasible;
   double objective = 0.0;
   std::vector<double> values;
-  std::size_t iterations = 0;  // simplex pivots or B&B nodes
+  std::size_t iterations = 0;  // simplex pivots
 
   [[nodiscard]] bool optimal() const noexcept { return status == Status::kOptimal; }
 };

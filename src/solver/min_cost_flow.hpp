@@ -1,8 +1,9 @@
 // Generic min-cost max-flow (successive shortest paths with potentials).
 //
-// Third independent solving path for the placement problem (after simplex and
-// the transportation solver), used for cross-validation and the solver
-// ablation bench. Costs must be non-negative; capacities and flows are real.
+// Second exact backend for the placement problem's transportation form
+// (after the transportation simplex), used for cross-validation, the solver
+// ablation bench and the engine's partial-offload fallback. Costs must be
+// non-negative; capacities and flows are real.
 #pragma once
 
 #include <cstddef>

@@ -3,8 +3,6 @@
 // Designed for the moderate problem sizes DUST generates (thousands of
 // variables, hundreds of constraints). Uses Dantzig pricing with an automatic
 // switch to Bland's rule after a degenerate streak, guaranteeing termination.
-// Integer markers on variables are ignored here (LP relaxation) — use
-// branch_and_bound.hpp for MILP solves.
 #pragma once
 
 #include "solver/lp.hpp"
@@ -18,7 +16,7 @@ struct SimplexOptions {
   std::size_t degenerate_streak_limit = 32;
 };
 
-/// Solve the LP relaxation (integrality markers ignored).
+/// Solve the LP.
 Solution solve_simplex(const LinearProgram& lp, const SimplexOptions& options = {});
 
 }  // namespace dust::solver

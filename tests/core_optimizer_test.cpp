@@ -10,6 +10,7 @@
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
 #include "solver/min_cost_flow.hpp"
+#include "solver/simplex.hpp"
 
 namespace dust::core {
 namespace {
@@ -23,7 +24,6 @@ Nmdb random_fat_tree_nmdb(std::uint32_t k, std::uint64_t seed) {
 
 TEST(Optimizer, BackendNames) {
   EXPECT_STREQ(to_string(SolverBackend::kTransportation), "transportation");
-  EXPECT_STREQ(to_string(SolverBackend::kSimplex), "simplex");
   EXPECT_STREQ(to_string(SolverBackend::kMinCostFlow), "min-cost-flow");
 }
 
@@ -122,8 +122,9 @@ TEST(Optimizer, MaxHopUnreachabilityCausesInfeasible) {
 
 class BackendAgreementSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Property: all three exact backends return the same objective, and their
-// solutions satisfy every placement constraint.
+// Property: both exact backends and the general simplex on the LP form
+// return the same objective, and the backends' solutions satisfy every
+// placement constraint.
 TEST_P(BackendAgreementSweep, AllBackendsAgreeAndFeasible) {
   Nmdb nmdb = random_fat_tree_nmdb(4, GetParam());
   PlacementOptions placement;
@@ -131,20 +132,19 @@ TEST_P(BackendAgreementSweep, AllBackendsAgreeAndFeasible) {
   const PlacementProblem problem = build_placement_problem(nmdb, placement);
   if (problem.total_excess() > problem.total_spare()) GTEST_SKIP();
 
-  double reference = -1.0;
+  const solver::Solution simplex =
+      solver::solve_simplex(solver::to_linear_program(to_transportation(problem)));
+  ASSERT_TRUE(simplex.optimal());
+  const double reference = simplex.objective;
   for (SolverBackend backend :
-       {SolverBackend::kTransportation, SolverBackend::kSimplex,
-        SolverBackend::kMinCostFlow}) {
+       {SolverBackend::kTransportation, SolverBackend::kMinCostFlow}) {
     OptimizerOptions options;
     options.backend = backend;
     const PlacementResult r = OptimizationEngine(options).solve(problem);
     ASSERT_TRUE(r.optimal()) << to_string(backend);
     EXPECT_LT(placement_violation(problem, r), 1e-6) << to_string(backend);
-    if (reference < 0)
-      reference = r.objective;
-    else
-      EXPECT_NEAR(r.objective, reference, 1e-5 * (1.0 + reference))
-          << to_string(backend);
+    EXPECT_NEAR(r.objective, reference, 1e-5 * (1.0 + reference))
+        << to_string(backend);
   }
 }
 

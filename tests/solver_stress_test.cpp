@@ -2,10 +2,6 @@
 // examples, larger random cross-validation, and scaling pathologies.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numeric>
-
-#include "solver/branch_and_bound.hpp"
 #include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
 #include "util/rng.hpp"
@@ -115,34 +111,6 @@ TEST_P(BigTransportationSweep, LargeInstancesStayExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigTransportationSweep,
                          ::testing::Values(11u, 22u, 33u, 44u));
-
-TEST(BranchAndBoundStress, TwentyVariableKnapsack) {
-  util::Rng rng(9);
-  LinearProgram lp;
-  std::vector<double> values, weights;
-  for (int i = 0; i < 20; ++i) {
-    values.push_back(rng.uniform(1.0, 10.0));
-    weights.push_back(rng.uniform(1.0, 10.0));
-    lp.add_variable(0, 1, -values.back(), true);
-  }
-  std::vector<std::pair<std::size_t, double>> terms;
-  for (int i = 0; i < 20; ++i) terms.emplace_back(i, weights[i]);
-  const double budget =
-      std::accumulate(weights.begin(), weights.end(), 0.0) * 0.4;
-  lp.add_constraint(std::move(terms), Sense::kLessEqual, budget);
-  const Solution s = solve_branch_and_bound(lp);
-  ASSERT_EQ(s.status, Status::kOptimal);
-  // Sanity: integral, within budget, and better than the greedy solution.
-  double weight = 0, value = 0;
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_NEAR(s.values[i], std::round(s.values[i]), 1e-6);
-    weight += weights[i] * s.values[i];
-    value += values[i] * s.values[i];
-  }
-  EXPECT_LE(weight, budget + 1e-6);
-  EXPECT_NEAR(-s.objective, value, 1e-6);
-  EXPECT_GT(value, 0.0);
-}
 
 }  // namespace
 }  // namespace dust::solver
