@@ -11,7 +11,10 @@ than --threshold (default 10%) slower than the baseline on the same
 (metric, config) key fails the compare (exit 1). Records that declare an absolute budget in their config string
 ("budget=5" — the obs overhead gate, instrumented and scrape-path) fail the
 compare when the candidate value meets or exceeds the budget, regardless of
-how the baseline did. Other metrics are reported informationally.
+how the baseline did. A record whose metric ends in "_pivots" (the cold
+solve's simplex pivot count) repeats exactly from run to run, so it fails
+the compare as soon as it rises above the baseline, with zero tolerance.
+Other metrics are reported informationally.
 
 Rates that are higher-is-neutral telemetry (delegation_rate,
 delegated_share, cache_hit_rate, ...) are reported informationally and never
@@ -50,6 +53,11 @@ def is_timing(metric):
     """
     return "ms_per_cycle" in metric or (
         "failover" in metric and metric.endswith("_ms"))
+
+
+def is_pivot_count(metric):
+    """Deterministic pivot counts: any rise above the baseline fails."""
+    return metric.endswith("_pivots")
 
 
 def declared_budget(record):
@@ -100,6 +108,16 @@ def compare(baseline, candidate, threshold):
             continue
         old = base[key]["value"]
         new = record["value"]
+        if is_pivot_count(key[0]):
+            verdict = "ok"
+            if new > old:
+                verdict = "ROSE"
+                failures.append(
+                    f"{key[0]} [{key[1]}]: {old:g} -> {new:g} pivots "
+                    f"(a deterministic count may not rise)"
+                )
+            lines.append(f"  {verdict:8s} {key[0]} [{key[1]}]: {old:g} -> {new:g}")
+            continue
         if not is_timing(key[0]):
             lines.append(f"  info     {key[0]} [{key[1]}]: {old:g} -> {new:g}")
             continue
@@ -188,6 +206,29 @@ def self_test():
     ]
     failures, _ = compare(base, blown, 0.10)
     assert failures, "5.4 must fail a declared budget of 5"
+
+    pivots = dict(base)
+    pivots["records"] = [
+        {"metric": "cold_pivots", "config": "k=32", "value": 40.0},
+    ]
+    same = dict(base)
+    same["records"] = [
+        {"metric": "cold_pivots", "config": "k=32", "value": 40.0},
+    ]
+    failures, _ = compare(pivots, same, 0.10)
+    assert not failures, f"an unchanged pivot count must pass: {failures}"
+    fewer = dict(base)
+    fewer["records"] = [
+        {"metric": "cold_pivots", "config": "k=32", "value": 33.0},
+    ]
+    failures, _ = compare(pivots, fewer, 0.10)
+    assert not failures, f"fewer pivots must pass: {failures}"
+    one_more = dict(base)
+    one_more["records"] = [
+        {"metric": "cold_pivots", "config": "k=32", "value": 41.0},
+    ]
+    failures, _ = compare(pivots, one_more, 0.10)
+    assert failures, "one pivot more must fail, whatever the threshold"
     print("bench_compare self-test: PASS")
 
 
@@ -216,7 +257,7 @@ def main():
     for line in lines:
         print(line)
     if failures:
-        print(f"\nFAIL: {len(failures)} timing regression(s)")
+        print(f"\nFAIL: {len(failures)} regression(s)")
         for failure in failures:
             print(f"  {failure}")
         return 1

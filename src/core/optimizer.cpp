@@ -16,23 +16,20 @@ namespace {
 
 constexpr double kAmountEps = 1e-9;
 
-// Map the optimum y back to the model's x = y / f_i; `trmin_seconds` stays
-// the unscaled Trmin(i,j).
+// Map the optimum y, given as (cell, flow) in index order, back to the
+// model's x = y / f_i; `trmin_seconds` stays the unscaled Trmin(i,j).
 void extract_assignments(const PlacementProblem& problem,
-                         const std::vector<double>& flow,
+                         const std::vector<solver::TransportationCell>& cells,
                          PlacementResult& result) {
   const std::size_t n = problem.candidates.size();
-  for (std::size_t bi = 0; bi < problem.busy.size(); ++bi) {
-    const double f = problem.busy_factor.empty() ? 1.0 : problem.busy_factor[bi];
-    for (std::size_t cj = 0; cj < n; ++cj) {
-      // Most cells carry no flow: skip them before paying for the division.
-      if (flow[bi * n + cj] <= 0.0) continue;
-      const double amount = flow[bi * n + cj] / f;
-      if (amount <= kAmountEps) continue;
-      result.assignments.push_back(Assignment{
-          problem.busy[bi], problem.candidates[cj], amount,
-          problem.trmin[bi * n + cj]});
-    }
+  for (const auto& [cell, flow] : cells) {
+    if (flow <= 0.0) continue;
+    const std::size_t bi = cell / n;
+    const double amount =
+        flow / (problem.busy_factor.empty() ? 1.0 : problem.busy_factor[bi]);
+    if (amount <= kAmountEps) continue;
+    result.assignments.push_back(Assignment{
+        problem.busy[bi], problem.candidates[cell % n], amount, problem.trmin[cell]});
   }
 }
 
@@ -88,7 +85,10 @@ PlacementResult solve_heterogeneous_partial(const PlacementProblem& problem) {
   result.solver_iterations = ship.iterations + s.iterations;
   if (s.optimal()) {
     result.objective = s.objective;
-    extract_assignments(problem, s.values, result);
+    std::vector<solver::TransportationCell> cells;
+    for (std::size_t cell = 0; cell < ship_objective.size(); ++cell)
+      if (s.values[cell] > 0.0) cells.push_back({cell, s.values[cell]});
+    extract_assignments(problem, cells, result);
     result.unplaced = std::max(0.0, problem.total_excess() - shipped);
   }
   result.solve_seconds = timer.seconds();
@@ -114,11 +114,14 @@ PlacementResult solve_min_cost_flow(const PlacementProblem& problem,
     mcf.add_arc(source, bi, t.supply[bi], 0.0);
     supply += t.supply[bi];
   }
-  std::vector<std::size_t> arc_of(m * n, static_cast<std::size_t>(-1));
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    if (t.cost[cell] != solver::kInfinity)
-      arc_of[cell] =
-          mcf.add_arc(cell / n, m + cell % n, solver::kInfinity, t.cost[cell]);
+  std::vector<solver::TransportationCell> cells;  // the allowed cells
+  std::vector<std::size_t> arcs;                  // and their arcs
+  for (std::size_t cell = 0; cell < m * n; ++cell) {
+    if (t.cost[cell] == solver::kInfinity) continue;
+    cells.push_back({cell, 0.0});
+    arcs.push_back(
+        mcf.add_arc(cell / n, m + cell % n, solver::kInfinity, t.cost[cell]));
+  }
   for (std::size_t cj = 0; cj < n; ++cj)
     mcf.add_arc(m + cj, sink, t.capacity[cj], 0.0);
   const solver::MinCostFlow::FlowResult f = mcf.solve(source, sink);
@@ -131,11 +134,8 @@ PlacementResult solve_min_cost_flow(const PlacementProblem& problem,
   result.status = solver::Status::kOptimal;
   result.objective = f.total_cost;
   if (!exact) result.unplaced = std::max(0.0, supply - f.max_flow);
-  std::vector<double> flow(m * n, 0.0);
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    if (arc_of[cell] != static_cast<std::size_t>(-1))
-      flow[cell] = mcf.arc_flow(arc_of[cell]);
-  extract_assignments(problem, flow, result);
+  for (std::size_t k = 0; k < cells.size(); ++k) cells[k].flow = mcf.arc_flow(arcs[k]);
+  extract_assignments(problem, cells, result);
   result.solve_seconds = timer.seconds();
   return result;
 }
@@ -209,38 +209,32 @@ struct EngineMetrics {
   }
 };
 
-// The retained optimum `flow` over `busy` x `candidates`, moved onto the
-// problem's busy x candidates grid by node id: rows and columns whose node
-// is in both cycles' sets keep their flows, new ones get none. Neither
-// cycle's sets need be sorted.
-std::vector<double> remap_flow(const std::vector<graph::NodeId>& busy,
-                               const std::vector<graph::NodeId>& candidates,
-                               const std::vector<double>& flow,
-                               const PlacementProblem& problem) {
+// The retained optimum's cells over `busy` x `candidates`, moved onto the
+// problem's busy x candidates grid by node id: a cell whose busy and
+// candidate nodes are in both cycles' sets keeps its flow, the rest drop
+// out. Neither cycle's sets need be sorted; the solver sorts the hint.
+std::vector<solver::TransportationCell> remap_cells(
+    const std::vector<graph::NodeId>& busy,
+    const std::vector<graph::NodeId>& candidates,
+    const std::vector<solver::TransportationCell>& cells,
+    const PlacementProblem& problem) {
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   graph::NodeId max_node = 0;
-  for (graph::NodeId b : busy) max_node = std::max(max_node, b);
-  for (graph::NodeId o : candidates) max_node = std::max(max_node, o);
-  std::vector<std::size_t> old_row(static_cast<std::size_t>(max_node) + 1, kNone);
-  std::vector<std::size_t> old_col(static_cast<std::size_t>(max_node) + 1, kNone);
-  for (std::size_t bi = 0; bi < busy.size(); ++bi) old_row[busy[bi]] = bi;
-  for (std::size_t cj = 0; cj < candidates.size(); ++cj)
-    old_col[candidates[cj]] = cj;
-  const std::size_t n = problem.candidates.size();
-  std::vector<std::size_t> col_of(n);  // new column -> old column
-  for (std::size_t cj = 0; cj < n; ++cj) {
-    const graph::NodeId o = problem.candidates[cj];
-    col_of[cj] = o <= max_node ? old_col[o] : kNone;
-  }
-  std::vector<double> remapped(problem.busy.size() * n, 0.0);
-  for (std::size_t bi = 0; bi < problem.busy.size(); ++bi) {
-    const graph::NodeId b = problem.busy[bi];
-    const std::size_t row = b <= max_node ? old_row[b] : kNone;
-    if (row == kNone) continue;
-    const double* from = flow.data() + row * candidates.size();
-    double* to = remapped.data() + bi * n;
-    for (std::size_t cj = 0; cj < n; ++cj)
-      if (col_of[cj] != kNone) to[cj] = from[col_of[cj]];
+  for (graph::NodeId b : problem.busy) max_node = std::max(max_node, b);
+  for (graph::NodeId o : problem.candidates) max_node = std::max(max_node, o);
+  std::vector<std::size_t> new_row(std::size_t{max_node} + 1, kNone), new_col = new_row;
+  for (std::size_t bi = 0; bi < problem.busy.size(); ++bi)
+    new_row[problem.busy[bi]] = bi;
+  for (std::size_t cj = 0; cj < problem.candidates.size(); ++cj)
+    new_col[problem.candidates[cj]] = cj;
+  std::vector<solver::TransportationCell> remapped;
+  for (const auto& [cell, flow] : cells) {
+    const graph::NodeId b = busy[cell / candidates.size()];
+    const graph::NodeId o = candidates[cell % candidates.size()];
+    const std::size_t row = b <= max_node ? new_row[b] : kNone;
+    const std::size_t col = o <= max_node ? new_col[o] : kNone;
+    if (row != kNone && col != kNone)
+      remapped.push_back({row * problem.candidates.size() + col, flow});
   }
   return remapped;
 }
@@ -307,38 +301,40 @@ PlacementResult OptimizationEngine::solve_exact(
 PlacementResult OptimizationEngine::solve_transportation_backend(
     const PlacementProblem& problem) const {
   EngineMetrics& metrics = EngineMetrics::get();
-  const std::size_t cells = problem.busy.size() * problem.candidates.size();
-  const bool shape_matches = warm_.valid && warm_.flow.size() == cells &&
-                             warm_.busy == problem.busy &&
-                             warm_.candidates == problem.candidates;
-  const bool warm = options_.warm_start && shape_matches;
+  const bool retained = options_.warm_start && warm_.valid;
+  const bool warm = retained && warm_.busy == problem.busy &&
+                    warm_.candidates == problem.candidates;
+  // Across churn the retained optimum still holds the flows between nodes
+  // both cycles share: remapped by node id (the identity when the sets did
+  // not change), it seeds the start.
+  const bool remap = retained && !warm;
   PlacementResult result;
   util::Timer timer;
-  // Across churn the retained optimum still holds the flows between nodes
-  // both cycles share: remapped by node id, it seeds the start instead.
-  const bool remap = options_.warm_start && warm_.valid && !shape_matches;
-  std::vector<double> remapped;
-  if (remap)
-    remapped = remap_flow(warm_.busy, warm_.candidates, warm_.flow, problem);
+  std::vector<solver::TransportationCell> hint;
+  if (retained) hint = remap_cells(warm_.busy, warm_.candidates, warm_.cells, problem);
   const solver::TransportationProblem t = to_transportation(problem);
   // Under warm_start the solver also consults/refreshes the retained basis:
   // if this instance differs from the previous one in cost cells only, it
   // re-optimizes from that basis (dirty-basis path) and ignores the flow
-  // hint; otherwise the flow hint seeds a fresh least-cost start. A basis
+  // hint; otherwise the hint's cells seed a fresh least-cost start. A basis
   // adopted across a shape change is still primal-feasible: the dirty path
   // requires bit-identical supplies and capacities, which its flows meet.
   solver::TransportationResult solved =
       options_.warm_start
-          ? solver::solve_transportation_dirty(
-                t, warm_.basis, warm ? &warm_.flow : remap ? &remapped : nullptr)
+          ? solver::solve_transportation_dirty(t, warm_.basis,
+                                               retained ? &hint : nullptr)
           : solver::solve_transportation(t);
-  result.status = solved.status;
-  result.solver_iterations = solved.iterations;
-  if (solved.optimal()) {
-    result.objective = solved.objective;
-    extract_assignments(problem, solved.flow, result);
-  }
-  result.solve_seconds = timer.seconds();
+  const auto report = [&](const solver::TransportationResult& solution) {
+    result = PlacementResult{};
+    result.status = solution.status;
+    result.solver_iterations = solution.iterations;
+    if (solution.optimal()) {
+      result.objective = solution.objective;
+      extract_assignments(problem, solution.cells, result);
+    }
+    result.solve_seconds = timer.seconds();
+  };
+  report(solved);
   if (solved.dirty_resolve) {
     ++warm_.dirty_resolves;
     metrics.dirty_resolves.inc();
@@ -373,14 +369,7 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
     if (!agree) {
       metrics.warm_verify_mismatch.inc();
       warm_.basis.valid = false;  // the retained basis produced a wrong optimum
-      result = PlacementResult{};
-      result.status = cold.status;
-      result.solver_iterations = cold.iterations;
-      if (cold.optimal()) {
-        result.objective = cold.objective;
-        extract_assignments(problem, cold.flow, result);
-      }
-      result.solve_seconds = timer.seconds();
+      report(cold);
       solved = std::move(cold);
     }
   }
@@ -388,7 +377,7 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
   if (options_.warm_start && solved.optimal()) {
     warm_.busy = problem.busy;
     warm_.candidates = problem.candidates;
-    warm_.flow = std::move(solved.flow);
+    warm_.cells = std::move(solved.cells);
     warm_.valid = true;
   } else {
     warm_.valid = false;

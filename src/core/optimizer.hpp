@@ -34,9 +34,9 @@ struct OptimizerOptions {
   /// min-cost max-offload solve and report the remainder in `unplaced`.
   bool allow_partial = false;
   /// Incremental pipeline (DESIGN.md §8): retain the previous cycle's
-  /// optimal flow and use it to seed the next solve's starting basis. When
-  /// the busy/candidate sets changed, the flow is first remapped onto the
-  /// new sets by node id (nodes in both cycles keep their rows and columns,
+  /// optimal cells and use them to seed the next solve's starting basis.
+  /// When the busy/candidate sets changed, the cells are first remapped onto
+  /// the new sets by node id (nodes in both cycles keep their rows and columns,
   /// new ones start empty). Additionally retains the simplex basis itself:
   /// when only cost cells changed since the previous solve (supplies and
   /// capacities bit-identical — the common steady-state case where links
@@ -106,14 +106,14 @@ class OptimizationEngine {
   [[nodiscard]] PlacementResult solve_transportation_backend(
       const PlacementProblem& problem) const;
 
-  /// Previous cycle's optimal flow + the shape it was solved under.
+  /// Previous cycle's optimum + the shape it was solved under.
   /// `mutable` so the const solve path can maintain it; guarded by the
   /// warm_start contract above (one engine per control loop).
   struct WarmState {
     bool valid = false;
     std::vector<graph::NodeId> busy;
     std::vector<graph::NodeId> candidates;
-    std::vector<double> flow;  ///< row-major busy x candidates
+    std::vector<solver::TransportationCell> cells;  ///< busy x candidates grid
     /// Retained simplex basis for cost-only re-solves; validity is managed
     /// by the solver (refreshed on optimal exits, dropped on mismatch).
     solver::TransportationBasis basis;

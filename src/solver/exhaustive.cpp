@@ -28,10 +28,8 @@ std::size_t binomial_saturated(std::size_t n, std::size_t k) {
 }
 
 struct Shape {
-  std::size_t m = 0;  ///< real sources
   std::size_t n = 0;
   std::size_t rows = 0;  ///< m + dummy
-  bool has_dummy = false;
   std::vector<double> supply;  ///< rows entries (dummy last)
 };
 
@@ -108,7 +106,6 @@ TransportationResult solve_transportation_exhaustive(
     throw std::invalid_argument("exhaustive: cost size mismatch");
 
   TransportationResult result;
-  result.flow.assign(m * n, 0.0);
   const double total_supply =
       std::accumulate(problem.supply.begin(), problem.supply.end(), 0.0);
   const double total_capacity =
@@ -123,12 +120,11 @@ TransportationResult solve_transportation_exhaustive(
   }
 
   Shape shape;
-  shape.m = m;
+  const bool has_dummy = total_capacity > total_supply + kEps;
   shape.n = n;
-  shape.has_dummy = total_capacity > total_supply + kEps;
-  shape.rows = m + (shape.has_dummy ? 1 : 0);
+  shape.rows = m + (has_dummy ? 1 : 0);
   shape.supply = problem.supply;
-  if (shape.has_dummy) shape.supply.push_back(total_capacity - total_supply);
+  if (has_dummy) shape.supply.push_back(total_capacity - total_supply);
 
   const std::size_t cells = shape.rows * n;
   const std::size_t tree_size = shape.rows + n - 1;
@@ -151,7 +147,6 @@ TransportationResult solve_transportation_exhaustive(
   };
 
   double best_objective = kInfinity;
-  std::vector<double> best_flow;
   std::vector<double> flow;
   do {
     // tree_flows rejects subsets with cycles or disconnected leftovers, so a
@@ -173,17 +168,17 @@ TransportationResult solve_transportation_exhaustive(
     }
     if (forbidden || objective >= best_objective) continue;
     best_objective = objective;
-    best_flow.assign(flow.begin(), flow.begin() + static_cast<std::ptrdiff_t>(
-                                                      m * n));
+    result.cells.clear();
+    for (std::size_t cell = 0; cell < m * n; ++cell)
+      if (flow[cell] > 0.0) result.cells.push_back({cell, flow[cell]});
   } while (advance());
 
-  if (best_flow.empty() && best_objective == kInfinity) {
+  if (best_objective == kInfinity) {
     result.status = Status::kInfeasible;
     return result;
   }
   result.status = Status::kOptimal;
   result.objective = best_objective;
-  result.flow = std::move(best_flow);
   return result;
 }
 

@@ -60,12 +60,6 @@ class LinearProgram {
   [[nodiscard]] const Variable& variable(std::size_t index) const {
     return variables_.at(index);
   }
-  [[nodiscard]] const Constraint& constraint(std::size_t index) const {
-    return constraints_.at(index);
-  }
-  [[nodiscard]] const std::vector<Variable>& variables() const noexcept {
-    return variables_;
-  }
   [[nodiscard]] const std::vector<Constraint>& constraints() const noexcept {
     return constraints_;
   }

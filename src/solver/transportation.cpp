@@ -29,7 +29,6 @@ struct Balanced {
   std::size_t n = 0;
   std::vector<double> supply;
   std::vector<double> demand;
-  double big_m = 0.0;
   bool has_dummy = false;
 };
 
@@ -60,8 +59,8 @@ std::uint64_t order_key(double cost) {
 
 // True when the allowed cells cannot carry the full supply at all: the max
 // flow source -> rows (Cs) -> allowed cells -> columns (Cd) -> sink falls
-// short. Decides an iteration-limit exit, where big-M pricing noise can keep
-// an infeasible instance pivoting without ever proving it.
+// short. Probed once on a long solve, where big-M pricing noise can keep an
+// infeasible instance pivoting without ever proving it.
 bool shortfall(const TransportationProblem& problem, double total_supply) {
   const std::size_t m = problem.sources();
   const std::size_t n = problem.destinations();
@@ -79,7 +78,16 @@ bool shortfall(const TransportationProblem& problem, double total_supply) {
          total_supply;
 }
 
-using Arc = TransportationBasis::Cell;
+using Arc = TransportationCell;
+
+// Per-node incidence lists, kept per thread across solves (cleared, not
+// freed) so that building a basis does not allocate node by node.
+std::vector<std::vector<std::size_t>>& incidence_lists(std::size_t nodes) {
+  static thread_local std::vector<std::vector<std::size_t>> lists;
+  lists.resize(std::max(lists.size(), nodes));
+  for (std::size_t node = 0; node < nodes; ++node) lists[node].clear();
+  return lists;
+}
 
 /// MODI / u-v transportation simplex over a balanced instance. The basis is
 /// kept as what it is, a spanning tree over m row nodes [0, m) and n column
@@ -89,23 +97,21 @@ using Arc = TransportationBasis::Cell;
 /// cells from where the previous search stopped.
 class TransportSimplex {
  public:
-  /// Prices in place on `grid`, the balanced m*n costs. `warm_cells`, when
-  /// non-null, lists in index order the cells to allocate first in the
-  /// initial solution (see solve_transportation's warm_flow doc).
-  TransportSimplex(const Balanced& bal, std::vector<double>& grid,
-                   const std::vector<std::uint32_t>* warm_cells = nullptr)
+  /// Prices in place on `grid`, the balanced m*n costs.
+  TransportSimplex(const Balanced& bal, std::vector<double>& grid)
       : bal_(bal),
-        warm_cells_(warm_cells),
+        real_rows_(bal.m - (bal.has_dummy ? 1 : 0)),
         price_(grid),
-        adj_(bal.m + bal.n),
+        adj_(incidence_lists(bal.m + bal.n)),
         pot_(bal.m + bal.n, 0.0),
         pred_(bal.m + bal.n, kNone),
         depth_(bal.m + bal.n, 0),
         block_(std::max<std::size_t>(std::sqrt(bal.m * bal.n), 10)) {}
 
-  /// Least-cost start, completed to a spanning tree.
-  void initial_basis() {
-    least_cost_start();
+  /// Least-cost start, completed to a spanning tree. `warm_cells`, when
+  /// non-null, lists in index order the cells to allocate first.
+  void initial_basis(const std::vector<std::uint32_t>* warm_cells) {
+    least_cost_start(warm_cells);
     repair_basis_tree();
   }
 
@@ -116,32 +122,27 @@ class TransportSimplex {
     for (const Arc& arc : arcs) add_arc(arc.index, arc.flow);
   }
 
+  /// Pivots until optimal or until `max_iterations` pivots in all; a later
+  /// call with a higher limit resumes where this one stopped.
   Status solve(std::size_t max_iterations) {
     // Block search can cycle forever on degenerate instances (exact
     // supply/capacity ties, zero-capacity columns): every pivot has theta=0
     // and the same bases repeat. After a streak of m+n degenerate pivots,
-    // switch to Bland's rule permanently — it guarantees termination, so an
-    // infeasible big-M instance reaches the forbidden-flow check instead of
-    // burning the iteration budget.
-    std::size_t degenerate_streak = 0;
-    for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+    // switch to Bland's rule permanently — it guarantees termination.
+    for (; iterations_ < max_iterations; ++iterations_) {
       // Under block search each pivot updates the potentials it moved; the
       // first iteration and Bland's rule walk the tree.
-      if (iter == 0 || bland_) compute_potentials();
+      if (iterations_ == 0 || bland_) compute_potentials();
       const auto [enter_i, enter_j, reduced] =
           bland_ ? first_negative_cell() : most_negative_cell();
-      if (reduced >= -kEps) {
-        iterations_ = iter;
-        return Status::kOptimal;
-      }
+      if (reduced >= -kEps) return Status::kOptimal;
       const double theta = pivot(enter_i, enter_j);
       if (theta <= kEps) {
-        if (++degenerate_streak > bal_.m + bal_.n) bland_ = true;
+        if (++degenerate_streak_ > bal_.m + bal_.n) bland_ = true;
       } else {
-        degenerate_streak = 0;
+        degenerate_streak_ = 0;
       }
     }
-    iterations_ = max_iterations;
     return Status::kIterationLimit;
   }
 
@@ -164,43 +165,46 @@ class TransportSimplex {
     return node == row ? bal_.m + arcs_[arc].index % bal_.n : row;
   }
 
-  // Least-cost method: repeatedly allocate to the cheapest open cell, in
-  // (warm first, cost, cell) order. With a warm hint, previously-used cells
-  // are allocated first (cheapest first among them) so the start reproduces
-  // the prior basis structure wherever supplies/demands still admit it.
-  void least_cost_start() {
+  // Least-cost method: allocate to open cells in (warm first, real rows
+  // before the slack row, cost, cell) order. By cost alone the zero-cost
+  // slack row would take spare capacity before any real row chose; last,
+  // in index order, it only absorbs what the real rows left. Warm cells go
+  // first (cheapest first) so the start reproduces the prior basis wherever
+  // supplies and demands still admit it.
+  void least_cost_start(const std::vector<std::uint32_t>* warm_cells) {
     std::vector<double> remaining_supply = bal_.supply;
     std::vector<double> remaining_demand = bal_.demand;
-    // Allocates to `cells` in order, skipping exhausted rows and columns.
-    const auto allocate = [&](const std::vector<std::uint32_t>& cells) {
-      for (std::size_t cell : cells) {
-        const std::size_t i = cell / bal_.n;
-        const std::size_t j = cell % bal_.n;
-        if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
-        const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
-        add_arc(cell, quantity);
-        remaining_supply[i] -= quantity;
-        remaining_demand[j] -= quantity;
-      }
+    // Allocates to `cell` unless its row or its column is exhausted.
+    const auto take = [&](std::size_t cell) {
+      const std::size_t i = cell / bal_.n;
+      const std::size_t j = cell % bal_.n;
+      if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) return;
+      const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
+      add_arc(cell, quantity);
+      remaining_supply[i] -= quantity;
+      remaining_demand[j] -= quantity;
     };
-    if (warm_cells_ == nullptr) {
-      allocate(least_cost_order(price_));
-      return;
+    const std::size_t real_cells = real_rows_ * bal_.n;
+    if (warm_cells == nullptr) {
+      for (std::size_t cell : least_cost_order({price_.data(), real_cells}))
+        take(cell);
+    } else {
+      for (std::size_t cell : least_cost_order(price_, warm_cells)) take(cell);
+      // Exhaustion is monotone and each warm cell left its row or its
+      // column exhausted, so the full order would skip every real cell but
+      // those whose row and column are both still open (none basic yet, so
+      // each still prices at its cost): sort just those, in index order,
+      // and the allocations match the full order's bit for bit.
+      std::vector<std::uint32_t> open_columns, open_cells;
+      for (std::size_t j = 0; j < bal_.n; ++j)
+        if (remaining_demand[j] > kEps) open_columns.push_back(j);
+      for (std::size_t i = 0; i < real_rows_; ++i) {
+        if (remaining_supply[i] <= kEps) continue;
+        for (std::uint32_t j : open_columns) open_cells.push_back(i * bal_.n + j);
+      }
+      for (std::size_t cell : least_cost_order(price_, &open_cells)) take(cell);
     }
-    allocate(least_cost_order(price_, warm_cells_));
-    // Exhaustion is monotone and each warm cell left its row or its column
-    // exhausted, so the full order would skip every cell but those whose
-    // row and column are both still open (none basic yet, so each still
-    // prices at its cost): sort just those, in index order, and the
-    // allocations match the full order's bit for bit.
-    std::vector<std::uint32_t> open_columns, open_cells;
-    for (std::size_t j = 0; j < bal_.n; ++j)
-      if (remaining_demand[j] > kEps) open_columns.push_back(j);
-    for (std::size_t i = 0; i < bal_.m; ++i) {
-      if (remaining_supply[i] <= kEps) continue;
-      for (std::uint32_t j : open_columns) open_cells.push_back(i * bal_.n + j);
-    }
-    allocate(least_cost_order(price_, &open_cells));
+    for (std::size_t cell = real_cells; cell < bal_.m * bal_.n; ++cell) take(cell);
   }
 
   // The basis must be a spanning tree with exactly m + n - 1 cells. The
@@ -394,12 +398,12 @@ class TransportSimplex {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   const Balanced& bal_;
-  const std::vector<std::uint32_t>* warm_cells_ = nullptr;
+  const std::size_t real_rows_;  ///< rows before the slack row
   bool bland_ = false;
   std::vector<double>& price_;    ///< m*n pricing grid: cost, or +inf if basic
   std::vector<Arc> arcs_;         ///< basic cells and their flows
   std::vector<double> arc_cost_;  ///< arc -> its cell's cost
-  std::vector<std::vector<std::size_t>> adj_;  ///< node -> incident arcs
+  std::vector<std::vector<std::size_t>>& adj_;  ///< node -> incident arcs
   std::vector<double> pot_;         ///< u (rows) then v (columns)
   std::vector<std::size_t> pred_;   ///< node -> arc to its tree parent
   std::vector<std::size_t> depth_;  ///< node -> depth below row 0
@@ -407,13 +411,14 @@ class TransportSimplex {
   std::size_t block_;       ///< block-search block size, max(sqrt(mn), 10)
   std::size_t cursor_ = 0;  ///< cell where the next block search starts
   std::size_t iterations_ = 0;
+  std::size_t degenerate_streak_ = 0;  ///< theta=0 pivots in a row
 };
 
 // One solve body behind both public entry points. `basis`, when non-null, is
 // consulted for the dirty-basis fast path and refreshed (or invalidated) on
 // the way out.
 TransportationResult solve_impl(const TransportationProblem& problem,
-                                const std::vector<double>* warm_flow,
+                                const std::vector<TransportationCell>* warm,
                                 TransportationBasis* basis) {
   const std::size_t m = problem.sources();
   const std::size_t n = problem.destinations();
@@ -425,17 +430,34 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   for (double c : problem.capacity)
     if (!(c >= 0))
       throw std::invalid_argument("solve_transportation: negative or NaN capacity");
-  // Big-M: strictly dominates any finite objective. The same scan rejects a
-  // NaN cost, which has no place in the start order or in pricing.
-  double max_finite = 1.0;
-  for (double c : problem.cost) {
-    if (std::isnan(c))
-      throw std::invalid_argument("solve_transportation: NaN cost");
-    if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
-  }
+  // One branch-free pass over the costs fills the price grid and keeps the
+  // largest finite magnitude (for big-M) in four lanes; a NaN cost, which
+  // has no place in the start order or in pricing, is reported after the
+  // loop. Each thread keeps its grid (with room for the slack row) across
+  // solves, so a re-solve writes into pages it already holds instead of
+  // faulting in fresh ones.
+  static thread_local std::vector<double> grid;
+  grid.resize(m * n + n);
+  const double* cost = problem.cost.data();
+  double* price = grid.data();
+  double lane[4] = {1.0, 1.0, 1.0, 1.0};  // a running max per cell % 4
+  bool nan = false;
+  const auto scan = [&](std::size_t cell, double& largest) {
+    const double c = cost[cell];
+    price[cell] = c;
+    largest = std::max(largest, c == kInfinity ? 0.0 : std::abs(c));
+    nan |= std::isnan(c);
+  };
+  std::size_t cell = 0;
+  for (; cell + 4 <= m * n; cell += 4)
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < 4; ++k) scan(cell + k, lane[k]);
+  for (; cell < m * n; ++cell) scan(cell, lane[0]);
+  if (nan) throw std::invalid_argument("solve_transportation: NaN cost");
+  const double max_finite =
+      std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
 
   TransportationResult result;
-  result.flow.assign(m * n, 0.0);
   const double total_supply =
       std::accumulate(problem.supply.begin(), problem.supply.end(), 0.0);
   const double total_capacity =
@@ -459,15 +481,12 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   bal.supply = problem.supply;
   if (bal.has_dummy) bal.supply.push_back(total_capacity - total_supply);
   bal.demand = problem.capacity;
-  bal.big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
-  // The balanced cost grid, which the simplex prices on in place. Each
-  // thread keeps one across solves, so a re-solve writes into pages it
-  // already holds instead of faulting in m*n fresh ones.
-  static thread_local std::vector<double> grid;
+  // Big-M strictly dominates any finite objective.
+  const double big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    price[cell] = price[cell] == kInfinity ? big_m : price[cell];
   grid.resize(bal.m * bal.n);
-  std::transform(problem.cost.begin(), problem.cost.end(), grid.begin(),
-                 [&bal](double c) { return c == kInfinity ? bal.big_m : c; });
-  std::fill(grid.begin() + m * n, grid.end(), 0.0);  // the dummy row costs 0
+  std::fill(grid.begin() + m * n, grid.end(), 0.0);  // the slack row costs 0
 
   // Dirty-basis eligibility: the retained basis must come from the *same*
   // balanced instance modulo costs — identical shape and bit-identical
@@ -478,28 +497,35 @@ TransportationResult solve_impl(const TransportationProblem& problem,
                      basis->n == bal.n && basis->supply == bal.supply &&
                      basis->demand == bal.demand;
 
-  // Translate the warm flow grid (real rows only) into the balanced
-  // instance's warm cells, in index order; the dummy row, when present,
-  // stays unprioritized.
-  const bool hinted = !dirty && warm_flow != nullptr && warm_flow->size() == m * n;
+  // The hint's usable cells, in index order: on the grid, carrying flow,
+  // and never a now-forbidden route.
   std::vector<std::uint32_t> warm_cells;
-  if (hinted)
-    for (std::size_t cell = 0; cell < m * n; ++cell)
-      if ((*warm_flow)[cell] > kEps && problem.cost[cell] != kInfinity)
-        warm_cells.push_back(cell);  // never prioritize a now-forbidden route
+  if (!dirty && warm != nullptr) {
+    for (const TransportationCell& c : *warm)
+      if (c.flow > kEps && c.index < m * n && problem.cost[c.index] != kInfinity)
+        warm_cells.push_back(static_cast<std::uint32_t>(c.index));
+    std::sort(warm_cells.begin(), warm_cells.end());
+  }
   // Two timer reads split the solve into the initial basis (least-cost
   // start plus repair, or adopting the retained tree) and the pivot loop.
   util::Timer timer;
-  TransportSimplex simplex(bal, grid, hinted ? &warm_cells : nullptr);
+  TransportSimplex simplex(bal, grid);
   if (dirty) {
     simplex.seed_basis(basis->cells);
     result.dirty_resolve = true;
   } else {
-    simplex.initial_basis();
+    simplex.initial_basis(warm != nullptr ? &warm_cells : nullptr);
   }
   const double start_seconds = timer.seconds();
+  // A solve still pivoting at 2(m+n) is checked once for a supply the
+  // allowed cells cannot carry, which big-M noise can keep pivoting until
+  // the whole budget is spent (DESIGN.md §13).
   const std::size_t max_iterations = 100 * (bal.m + bal.n) * (bal.m + bal.n) + 1000;
-  const Status status = simplex.solve(max_iterations);
+  Status status = simplex.solve(2 * (bal.m + bal.n));
+  const bool short_of_supply =
+      status == Status::kIterationLimit && shortfall(problem, total_supply);
+  if (status == Status::kIterationLimit && !short_of_supply)
+    status = simplex.solve(max_iterations);
   const double pivot_seconds = timer.seconds() - start_seconds;
   SolveMetrics& metrics = SolveMetrics::get();
   metrics.start_ms.observe(start_seconds * 1e3);
@@ -509,8 +535,7 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   result.iterations = simplex.iterations();
   if (status == Status::kIterationLimit) {
     if (basis != nullptr) basis->valid = false;
-    result.status = shortfall(problem, total_supply) ? Status::kInfeasible
-                                                     : Status::kIterationLimit;
+    result.status = short_of_supply ? Status::kInfeasible : Status::kIterationLimit;
     return result;
   }
   // Check forbidden cells and take the real rows' basic arcs (dummy-row
@@ -528,11 +553,10 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   std::sort(real_arcs.begin(), real_arcs.end(),
             [](const Arc& a, const Arc& b) { return a.index < b.index; });
   double objective = 0.0;
-  for (const Arc& arc : real_arcs) {
-    result.flow[arc.index] = arc.flow;
+  for (const Arc& arc : real_arcs)
     if (arc.flow > 0) objective += arc.flow * problem.cost[arc.index];
-  }
   result.objective = objective;
+  result.cells = std::move(real_arcs);
   result.status = Status::kOptimal;
   if (basis != nullptr) {
     basis->valid = true;
@@ -548,7 +572,7 @@ TransportationResult solve_impl(const TransportationProblem& problem,
 }  // namespace
 
 std::vector<std::uint32_t> least_cost_order(
-    const std::vector<double>& cost, const std::vector<std::uint32_t>* cells) {
+    std::span<const double> cost, const std::vector<std::uint32_t>* cells) {
   if (cost.size() > UINT32_MAX)
     throw std::length_error("least_cost_order: more than 2^32 cells");
   // Stable LSD radix sort of the positions in `cells` on their cost keys,
@@ -572,31 +596,25 @@ std::vector<std::uint32_t> least_cost_order(
   return order;
 }
 
-TransportationResult solve_transportation(const TransportationProblem& problem,
-                                          const std::vector<double>* warm_flow) {
-  return solve_impl(problem, warm_flow, nullptr);
+TransportationResult solve_transportation(
+    const TransportationProblem& problem,
+    const std::vector<TransportationCell>* warm) {
+  return solve_impl(problem, warm, nullptr);
 }
 
 TransportationResult solve_transportation_dirty(
     const TransportationProblem& problem, TransportationBasis& basis,
-    const std::vector<double>* warm_flow) {
-  return solve_impl(problem, warm_flow, &basis);
+    const std::vector<TransportationCell>* warm) {
+  return solve_impl(problem, warm, &basis);
 }
 
 LinearProgram to_linear_program(const TransportationProblem& problem) {
   const std::size_t m = problem.sources();
   const std::size_t n = problem.destinations();
   LinearProgram lp;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double cost = problem.cost[i * n + j];
-      // Forbidden cells become fixed-at-zero variables.
-      if (cost == kInfinity)
-        lp.add_variable(0.0, 0.0, 0.0);
-      else
-        lp.add_variable(0.0, kInfinity, cost);
-    }
-  }
+  for (double cost : problem.cost)  // forbidden cells are fixed at zero
+    lp.add_variable(0.0, cost == kInfinity ? 0.0 : kInfinity,
+                    cost == kInfinity ? 0.0 : cost);
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<std::pair<std::size_t, double>> terms;
     for (std::size_t j = 0; j < n; ++j) terms.emplace_back(i * n + j, 1.0);

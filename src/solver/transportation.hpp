@@ -1,9 +1,12 @@
 // Specialized transportation-problem solver (least-cost start + MODI on a
 // spanning-tree basis, DESIGN.md §13). The start takes cells in one total
-// (warm, cost, cell) order from an O(mn) radix sort, which under a warm hint
-// sorts only the warm cells and then the cells still open; a pivot
-// re-derives potentials only for the subtree it moved, and block search
-// prices about sqrt(mn) cells from where the last search stopped.
+// (warm, real rows before the slack row, cost, cell) order: an O(mn) radix
+// sort of the real cells, then the slack row in index order; under a warm
+// hint it sorts only the warm cells and then the real cells still open. A
+// pivot re-derives potentials only for the subtree it moved, and block
+// search prices about sqrt(mn) cells from where the last search stopped.
+// One branch-free scan validates the costs, finds big-M and fills the price
+// grid; the optimum comes back as the real rows' basic cells.
 //
 // Once Trmin(i,j) is known, DUST's placement LP (Eq. 3) *is* a transportation
 // problem: supplies Cs_i that must ship fully, destination capacities Cd_j,
@@ -20,14 +23,15 @@
 // basis), dust_solver_pivot_ms (the pivot loop) and dust_solver_pivots;
 // dust_solver_bland_fallbacks_total counts solves that fell back to Bland.
 //
-// A solve that exhausts its pivot budget is checked for plain feasibility
-// (a max flow over the allowed cells) and reports kInfeasible when the
-// supply cannot ship at all, kIterationLimit otherwise. Each calling thread
-// keeps its largest m*n cost grid so far, reusing it on every later solve.
+// A solve still pivoting at 2(m+n) is checked once for plain feasibility (a
+// max flow over the allowed cells) and reports kInfeasible if the supply
+// cannot ship at all, or kIterationLimit if it then spends its pivot budget.
+// Each calling thread keeps its largest cost grid so far, reusing it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "solver/lp.hpp"
@@ -43,37 +47,38 @@ struct TransportationProblem {
   [[nodiscard]] std::size_t destinations() const noexcept {
     return capacity.size();
   }
-  [[nodiscard]] double cost_at(std::size_t i, std::size_t j) const {
-    return cost.at(i * capacity.size() + j);
-  }
+};
+
+/// One cell of a basis: its row-major index i*n + j and its flow.
+struct TransportationCell {
+  std::size_t index = 0;
+  double flow = 0.0;
 };
 
 struct TransportationResult {
   Status status = Status::kInfeasible;
   double objective = 0.0;
-  std::vector<double> flow;  ///< row-major m*n; all zero unless optimal
+  /// The optimum: the real rows' basic cells in index order (some may carry
+  /// zero flow); every other cell carries none. Empty unless optimal.
+  std::vector<TransportationCell> cells;
   std::size_t iterations = 0;
   /// True when the solve re-optimized from a retained basis (dirty-basis
   /// path) instead of building an initial solution from scratch.
   bool dirty_resolve = false;
 
   [[nodiscard]] bool optimal() const noexcept { return status == Status::kOptimal; }
-  [[nodiscard]] double flow_at(std::size_t i, std::size_t j,
-                               std::size_t destinations) const {
-    return flow.at(i * destinations + j);
-  }
 };
 
-/// `warm_flow`, when given, is a previous solve's row-major m*n flow grid on
-/// the same source/destination index sets (typically the previous placement
-/// cycle's optimum). Cells that carried flow are preferred when building the
+/// `warm`, when given, lists cells of an earlier optimum on this grid, in
+/// any order (typically the previous placement cycle's `cells`, remapped by
+/// node id when the sets changed). Those with flow above 1e-9 that lie on
+/// the grid and are allowed here are allocated first when building the
 /// initial basic solution, which leaves MODI with near-zero pivots under
 /// small cost/quantity perturbations. The hint only biases the starting
 /// basis — any hint (even a wrong one) still converges to the exact optimum.
-/// Mismatched sizes are ignored.
 TransportationResult solve_transportation(
     const TransportationProblem& problem,
-    const std::vector<double>* warm_flow = nullptr);
+    const std::vector<TransportationCell>* warm = nullptr);
 
 /// Retained simplex state for dirty-basis re-solves (DESIGN.md §13): the
 /// balanced instance's basis tree — its m+n-1 basic cells and their flows —
@@ -81,16 +86,12 @@ TransportationResult solve_transportation(
 /// default-construct once and hand the same object to successive
 /// solve_transportation_dirty calls.
 struct TransportationBasis {
-  struct Cell {
-    std::size_t index = 0;  ///< balanced row-major cell index i*n + j
-    double flow = 0.0;
-  };
   bool valid = false;
   std::size_t m = 0;  ///< balanced rows (includes the dummy row if present)
   std::size_t n = 0;
   std::vector<double> supply;  ///< balanced quantities the basis solved under
   std::vector<double> demand;
-  std::vector<Cell> cells;  ///< the basis tree's m+n-1 cells
+  std::vector<TransportationCell> cells;  ///< the tree's m+n-1 cells, balanced grid
 };
 
 /// Dirty-basis re-solve: when `basis` holds the previous solve's state and
@@ -100,20 +101,21 @@ struct TransportationBasis {
 /// change, so only the potentials move and re-optimization takes near-zero
 /// pivots when few cells changed. `result.dirty_resolve` reports whether the
 /// fast path was taken. Any mismatch (quantities moved, shape changed, basis
-/// not yet populated) falls back transparently: `warm_flow` is used as a
-/// start hint exactly as in solve_transportation. On every optimal exit the
-/// basis is refreshed for the next call; on failure it is invalidated.
+/// not yet populated) falls back transparently: `warm` is used as a start
+/// hint exactly as in solve_transportation. On every optimal exit the basis
+/// is refreshed for the next call; on failure it is invalidated.
 TransportationResult solve_transportation_dirty(
     const TransportationProblem& problem, TransportationBasis& basis,
-    const std::vector<double>* warm_flow = nullptr);
+    const std::vector<TransportationCell>* warm = nullptr);
 
 /// The least-cost start's order: `*cells`, indices into `cost` (no NaN at
 /// them), sorted by (cost, position in `cells`), or every cell of `cost`
 /// by (cost, index) when `cells` is null. -0.0 and +0.0 are one cost. A
-/// stable LSD radix sort, O(cells). The start runs it on every cell cold,
-/// and under a warm hint on the warm cells and then on the cells still open.
+/// stable LSD radix sort, O(cells). The start runs it on the real rows'
+/// cells cold, and under a warm hint on the warm cells and then on the real
+/// cells still open.
 std::vector<std::uint32_t> least_cost_order(
-    const std::vector<double>& cost,
+    std::span<const double> cost,
     const std::vector<std::uint32_t>* cells = nullptr);
 
 /// Express the same problem as a LinearProgram (variables row-major x_ij)

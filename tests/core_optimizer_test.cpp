@@ -11,6 +11,7 @@
 #include "net/traffic.hpp"
 #include "solver/min_cost_flow.hpp"
 #include "solver/simplex.hpp"
+#include "solver_dense_flow.hpp"
 
 namespace dust::core {
 namespace {
@@ -73,10 +74,12 @@ TEST(Optimizer, PartialFallbackCountsTheFailedExactAttempt) {
   p.cs = {5.0, 5.0, 5.0};
   p.cd = {6.0, 6.0, 6.0};
   const double inf = solver::kInfinity;
-  // Busy 0 and 1 only reach candidate 3, which fits 6 of their 10.
+  // Busy 0 and 1 only reach candidate 3, which fits 6 of their 10. Busy 2
+  // reaches it cheapest, so the least-cost start hands it candidate 3 and
+  // the simplex pivots it away before the shortfall shows.
   p.trmin = {1.0, inf, inf,
              2.0, inf, inf,
-             3.0, 1.0, 2.0};
+             0.5, 1.0, 2.0};
   const PlacementResult exact = OptimizationEngine().solve(p);
   ASSERT_EQ(exact.status, solver::Status::kInfeasible);
   ASSERT_GT(exact.solver_iterations, 0u);
@@ -431,8 +434,9 @@ TEST(Optimizer, RemapCarriesFlowsByNodeId) {
   const PlacementProblem first = build_placement_problem(nmdb, options.placement);
   ASSERT_TRUE(engine.solve(first).optimal());
   // The engine's first solve, bit for bit: cold, with no hint.
-  const solver::TransportationResult last =
-      solver::solve_transportation(transportation(first));
+  const std::vector<double> last = solver::dense_flow(
+      solver::solve_transportation(transportation(first)),
+      first.busy.size() * first.candidates.size());
   churn_roles(nmdb, rng);
   const PlacementProblem next =
       shuffled(build_placement_problem(nmdb, options.placement), rng);
@@ -445,9 +449,9 @@ TEST(Optimizer, RemapCarriesFlowsByNodeId) {
       const auto col = std::find(first.candidates.begin(), first.candidates.end(),
                                  next.candidates[cj]);
       if (col == first.candidates.end()) continue;
-      const double flow = last.flow[static_cast<std::size_t>(row - first.busy.begin()) *
-                                        first.candidates.size() +
-                                    static_cast<std::size_t>(col - first.candidates.begin())];
+      const double flow = last[static_cast<std::size_t>(row - first.busy.begin()) *
+                                   first.candidates.size() +
+                               static_cast<std::size_t>(col - first.candidates.begin())];
       hint[bi * next.candidates.size() + cj] = flow;
       carried += flow;
     }
@@ -455,8 +459,9 @@ TEST(Optimizer, RemapCarriesFlowsByNodeId) {
   ASSERT_GT(carried, 0.0);
   const PlacementResult remapped = engine.solve(next);
   ASSERT_EQ(engine.remapped_starts(), 1u);
+  const std::vector<solver::TransportationCell> hint_list = solver::hint_cells(hint);
   const solver::TransportationResult direct =
-      solver::solve_transportation(transportation(next), &hint);
+      solver::solve_transportation(transportation(next), &hint_list);
   ASSERT_TRUE(direct.optimal());
   EXPECT_EQ(remapped.status, direct.status);
   EXPECT_EQ(remapped.solver_iterations, direct.iterations);

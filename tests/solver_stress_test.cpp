@@ -4,6 +4,7 @@
 
 #include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
+#include "solver_dense_flow.hpp"
 #include "util/rng.hpp"
 
 namespace dust::solver {
@@ -97,14 +98,15 @@ TEST_P(BigTransportationSweep, LargeInstancesStayExact) {
   ASSERT_EQ(s.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, s.objective, 1e-4 * (1.0 + s.objective));
   // Row/column feasibility.
+  const std::vector<double> flow = dense_flow(r, m * n);
   for (std::size_t i = 0; i < m; ++i) {
     double shipped = 0;
-    for (std::size_t j = 0; j < n; ++j) shipped += r.flow[i * n + j];
+    for (std::size_t j = 0; j < n; ++j) shipped += flow[i * n + j];
     EXPECT_NEAR(shipped, p.supply[i], 1e-6);
   }
   for (std::size_t j = 0; j < n; ++j) {
     double absorbed = 0;
-    for (std::size_t i = 0; i < m; ++i) absorbed += r.flow[i * n + j];
+    for (std::size_t i = 0; i < m; ++i) absorbed += flow[i * n + j];
     EXPECT_LE(absorbed, p.capacity[j] + 1e-6);
   }
 }

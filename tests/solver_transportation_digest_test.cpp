@@ -2,11 +2,12 @@
 //
 // Every solve of the seeded families in solver_transportation_families.cpp
 // is folded into one FNV-1a digest per family: status, pivot count,
-// dirty-path flag, objective bits and (for optimal solves) raw flow bits.
-// Any change to the start order, the pricing or the pivot changes them.
+// dirty-path flag, objective bits and the optimum's basic cells (index and
+// flow bits). Any change to the start order, the pricing or the pivot
+// changes them.
 //
 // The digests were re-recorded when two rules moved the pivot sequence on
-// purpose. The least-cost start now orders cells by (warm first, cost, cell
+// purpose. The least-cost start orders cells by (warm first, cost, cell
 // index) with a stable radix sort; before, equal costs came out in whatever
 // order std::sort's introsort left them, which no standard pins, so every
 // instance with tied costs starts from a different basis. And pricing is
@@ -16,6 +17,15 @@
 // degenerate optimum so do the final basis and flows. Statuses and
 // objectives did not move: solver_transportation_differential_test checks
 // them against values recorded from the previous rules.
+//
+// They were re-recorded again when the start took the slack row last:
+// (warm, real rows before the slack row, cost, cell). The zero-cost slack
+// row no longer takes spare capacity ahead of every real row, so most
+// starts begin from another basis and need far fewer pivots, and among
+// tied optima a different vertex can be reached. Solves still pivoting at
+// 2(m+n) are probed once for a supply the allowed cells cannot carry, so
+// infeasible big-M instances stop there instead of spending the budget.
+// The digest now folds the optimum's cells instead of a dense flow grid.
 //
 // Re-record these only together with a statement of why the pivot
 // sequence moved.
@@ -53,11 +63,11 @@ class Digest {
     add_u64(r.iterations);
     add_u64(r.dirty_resolve ? 1 : 0);
     add_double(r.objective);
-    add_u64(r.flow.size());
-    // An infeasible result's flow grid carries no meaning; only optimal
-    // flows are part of the contract.
-    if (r.optimal())
-      for (double f : r.flow) add_double(f);
+    add_u64(r.cells.size());
+    for (const TransportationCell& c : r.cells) {
+      add_u64(c.index);
+      add_double(c.flow);
+    }
     ++solves_;
   }
   [[nodiscard]] std::string hex() const {
@@ -89,45 +99,45 @@ Digest digest_of(void (*family)(const SolveSink&)) {
 }
 
 TEST(TransportationDigest, ColdSolves) {
-  expect_digest(digest_of(families::cold_solves), "7d87bc58b8ef8cb6");
+  expect_digest(digest_of(families::cold_solves), "8d7351e6cdd94f6c");
 }
 
 TEST(TransportationDigest, WarmFlowHints) {
-  expect_digest(digest_of(families::warm_flow_hints), "9046b6c50cfa186d");
+  expect_digest(digest_of(families::warm_flow_hints), "a605d9fde09733f0");
 }
 
 TEST(TransportationDigest, DirtyBasisResolves) {
-  expect_digest(digest_of(families::dirty_basis_resolves), "19fb77387895ca47");
+  expect_digest(digest_of(families::dirty_basis_resolves), "4a1c664f9836926b");
 }
 
 TEST(TransportationDigest, IntegerTies) {
-  expect_digest(digest_of(families::integer_ties), "f8e4ad8b3068c870");
+  expect_digest(digest_of(families::integer_ties), "ce18dc988d278bae");
 }
 
 TEST(TransportationDigest, ForbiddenCells) {
-  expect_digest(digest_of(families::forbidden_cells), "0d2bbd723ab896c9");
+  expect_digest(digest_of(families::forbidden_cells), "1943e4f6040bc9ae");
 }
 
 TEST(TransportationDigest, DummyRowAndInfeasible) {
   expect_digest(digest_of(families::dummy_row_and_infeasible),
-                "4839c05ae861e39b");
+                "fdc324ccf2406c00");
 }
 
 // Zero-capacity columns behind forbidden (big-M) cells with integer
 // quantities: the regime where big-M cancellation noise can keep the
 // pricing cycling, held off by the magnitude-scaled tolerance and the Bland
-// fallback. Six solves switch to Bland's rule (the cold and first dirty
-// solves of seeds 148, 373 and 1137). Five spend the whole pivot budget
-// (the three of seed 148 and the cold and first dirty solves of seed 2756):
-// their instances cannot ship the full supply over allowed cells, and the
-// iteration-limit exit reports kInfeasible after a max-flow check. The
-// digest pins both through each solve's status and pivot count.
+// fallback. Five solves switch to Bland's rule (the cold and first dirty
+// solves of seed 1137 and all three of seed 2785). Two reach the 2(m+n)
+// pivot probe (the cold and first dirty solves of seed 2756): their
+// instance cannot ship the full supply over allowed cells, and the max-flow
+// check there reports kInfeasible. The digest pins both through each
+// solve's status and pivot count.
 TEST(TransportationDigest, DegenerateCycling) {
-  expect_digest(digest_of(families::degenerate_cycling), "2baf557c652e2c77");
+  expect_digest(digest_of(families::degenerate_cycling), "7bc55180c72fc3de");
 }
 
 // The same chains on seeds where block search falls back to Bland's rule
-// in 19 of 30 solves, so the lowest-index pricing, its tie-breaking on the
+// in 26 of 30 solves, so the lowest-index pricing, its tie-breaking on the
 // leaving arc and the full-tree potential walks stay covered. Each solve
 // that switches bumps dust_solver_bland_fallbacks_total once.
 TEST(TransportationDigest, BlandFallbacks) {
@@ -135,8 +145,8 @@ TEST(TransportationDigest, BlandFallbacks) {
       "dust_solver_bland_fallbacks_total");
   const std::uint64_t before = fallbacks.value();
   const Digest d = digest_of(families::bland_fallbacks);
-  EXPECT_EQ(fallbacks.value() - before, 19u);
-  expect_digest(d, "6d0c92d72289197d");
+  EXPECT_EQ(fallbacks.value() - before, 26u);
+  expect_digest(d, "981bcb33ddb2ae4c");
 }
 
 // A DegenerateCycling seed whose cold solve switches to Bland's rule bumps
@@ -153,23 +163,38 @@ TEST(TransportationMetrics, BlandFallbackCounted) {
   ASSERT_TRUE(solve_transportation(p).optimal());
   EXPECT_EQ(fallbacks.value(), before);
   const TransportationResult r =
-      solve_transportation(families::cycling_instance(373 * 7919 + 2, false));
+      solve_transportation(families::cycling_instance(388 * 7919 + 2, false));
   EXPECT_EQ(r.status, Status::kInfeasible);
   EXPECT_EQ(fallbacks.value(), before + 1);
+}
+
+// Infeasible big-M instances that used to spend 161k-424k pivots before the
+// iteration-limit exit found the shortfall: the probe at 2(m+n) pivots
+// (balanced rows, slack row included) ends them there, or the simplex
+// proves them sooner.
+TEST(TransportationPivotBound, InfeasibleBigMInstancesStopEarly) {
+  for (const std::uint64_t seed : {2756, 24, 713}) {
+    const TransportationProblem p =
+        families::cycling_instance(seed * 7919 + 2, false);
+    const TransportationResult r = solve_transportation(p);
+    EXPECT_EQ(r.status, Status::kInfeasible) << "seed " << seed;
+    EXPECT_LE(r.iterations, 2 * (p.sources() + 1 + p.destinations()))
+        << "seed " << seed;
+  }
 }
 
 // Edge shapes: a single row or a single column, and narrow grids whose
 // width leaves odd tails in a row pass. With n <= 3 many rows end up with
 // every cell basic, so their pricing rows hold no candidate at all.
 TEST(TransportationDigest, EdgeShapes) {
-  expect_digest(digest_of(families::edge_shapes), "84d68e051b72206b");
+  expect_digest(digest_of(families::edge_shapes), "fd0483cbe7101a4c");
 }
 
 // Long dirty-basis chains: every solve after the first resumes from the
 // previous optimal tree with about 30% of the cells repriced, so most
 // pivots run straight after seed_basis on a basis far from optimal.
 TEST(TransportationDigest, LongDirtyChains) {
-  expect_digest(digest_of(families::long_dirty_chains), "958b9de8267bb3a1");
+  expect_digest(digest_of(families::long_dirty_chains), "07b6a1cfc211f247");
 }
 
 // Replan-shaped: 71 busy rows by 178 candidates plus the dummy row, costs
@@ -177,7 +202,7 @@ TEST(TransportationDigest, LongDirtyChains) {
 // forbidden, and each cycle redraws 5% of the loads and passes the previous
 // optimum as the warm hint, like a k=16 replan.
 TEST(TransportationDigest, ReplanShaped) {
-  expect_digest(digest_of(families::replan_shaped), "d74b8d556f742b87");
+  expect_digest(digest_of(families::replan_shaped), "e2953901d93e27cb");
 }
 
 }  // namespace

@@ -33,9 +33,9 @@ void degenerate_cycling(const SolveSink& sink);
 void edge_shapes(const SolveSink& sink);
 void long_dirty_chains(const SolveSink& sink);
 void replan_shaped(const SolveSink& sink);
-/// DegenerateCycling's instances and chains on seeds picked so that 19 of
+/// DegenerateCycling's instances and chains on seeds picked so that 26 of
 /// the 30 solves switch to Bland's rule, the anti-cycling path that block
-/// search itself reaches in only 6 of DegenerateCycling's 30.
+/// search itself reaches in only 5 of DegenerateCycling's 30.
 void bland_fallbacks(const SolveSink& sink);
 
 struct Family {

@@ -2,8 +2,8 @@
 //
 // Under a warm hint the start sorts only the warm cells, allocates them, and
 // then sorts only the cells whose row and column are both still open
-// (DESIGN.md §13). This test holds it to the full (warm first, cost, cell)
-// order over every cell. For each problem of the seeded families and
+// (DESIGN.md §13). This test holds it to the full (warm first, real rows
+// before the slack row, cost, cell) order over every cell. For each problem of the seeded families and
 // several hints per problem, the full-order start is built here (allocation
 // in that order, then the row-major tree repair) and handed to the solver
 // as a retained basis, so the simplex runs from exactly that start. The
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "solver/transportation.hpp"
+#include "solver_dense_flow.hpp"
 #include "solver_transportation_families.hpp"
 #include "util/rng.hpp"
 
@@ -56,18 +57,20 @@ bool full_order_start(const TransportationProblem& p,
   // after every finite cost. The dummy row costs 0.
   std::vector<double> cost(basis.m * n, 0.0);
   std::copy(p.cost.begin(), p.cost.end(), cost.begin());
-  std::vector<std::uint32_t> warm, rest;
-  for (std::uint32_t cell = 0; cell < cost.size(); ++cell) {
-    const bool hinted = cell < m * n && hint[cell] > kEps && cost[cell] != kInfinity;
-    (hinted ? warm : rest).push_back(cell);
+  std::vector<std::uint32_t> warm, real;
+  for (std::uint32_t cell = 0; cell < m * n; ++cell) {
+    const bool hinted = hint[cell] > kEps && cost[cell] != kInfinity;
+    (hinted ? warm : real).push_back(cell);
   }
   warm = least_cost_order(cost, &warm);
-  rest = least_cost_order(cost, &rest);
+  real = least_cost_order(cost, &real);
+  std::vector<std::uint32_t> slack(cost.size() - m * n);  // unsorted
+  std::iota(slack.begin(), slack.end(), static_cast<std::uint32_t>(m * n));
   std::vector<double> supply = basis.supply;
   std::vector<double> demand = basis.demand;
   std::vector<char> basic(cost.size(), 0);
   basis.cells.clear();
-  for (const std::vector<std::uint32_t>* order : {&warm, &rest}) {
+  for (const std::vector<std::uint32_t>* order : {&warm, &real, &slack}) {
     for (std::uint32_t cell : *order) {
       const std::size_t i = cell / n;
       const std::size_t j = cell % n;
@@ -86,7 +89,7 @@ bool full_order_start(const TransportationProblem& p,
     while (parent[a] != a) a = parent[a];
     return a;
   };
-  for (const TransportationBasis::Cell& c : basis.cells)
+  for (const TransportationCell& c : basis.cells)
     parent[root(c.index / n)] = root(basis.m + c.index % n);
   for (std::size_t cell = 0;
        cell < cost.size() && basis.cells.size() + 1 < basis.m + n; ++cell) {
@@ -106,8 +109,9 @@ void expect_same_run(const TransportationProblem& p,
                      const std::vector<double>& hint, std::size_t kind) {
   const std::string what = "hint kind " + std::to_string(kind);
   TransportationBasis pruned_basis;  // empty: the hinted start runs
+  const std::vector<TransportationCell> cells = hint_cells(hint);
   const TransportationResult pruned =
-      solve_transportation_dirty(p, pruned_basis, &hint);
+      solve_transportation_dirty(p, pruned_basis, &cells);
   ASSERT_FALSE(pruned.dirty_resolve);
   TransportationBasis full_basis;
   if (!full_order_start(p, hint, full_basis)) {
@@ -119,10 +123,12 @@ void expect_same_run(const TransportationProblem& p,
   EXPECT_EQ(pruned.status, full.status) << what;
   EXPECT_EQ(pruned.iterations, full.iterations) << what;
   EXPECT_TRUE(same_bits(pruned.objective, full.objective)) << what;
-  ASSERT_EQ(pruned.flow.size(), full.flow.size()) << what;
-  for (std::size_t cell = 0; cell < full.flow.size(); ++cell)
-    ASSERT_TRUE(same_bits(pruned.flow[cell], full.flow[cell]))
-        << what << ", cell " << cell;
+  ASSERT_EQ(pruned.cells.size(), full.cells.size()) << what;
+  for (std::size_t k = 0; k < full.cells.size(); ++k) {
+    ASSERT_EQ(pruned.cells[k].index, full.cells[k].index) << what;
+    ASSERT_TRUE(same_bits(pruned.cells[k].flow, full.cells[k].flow))
+        << what << ", cell " << full.cells[k].index;
+  }
   EXPECT_EQ(pruned_basis.valid, full_basis.valid) << what;
   if (!full_basis.valid) return;
   ASSERT_EQ(pruned_basis.cells.size(), full_basis.cells.size()) << what;
@@ -141,16 +147,16 @@ std::vector<double> hint_of(std::size_t kind, util::Rng& rng,
                             const TransportationProblem& p,
                             const TransportationResult& optimum) {
   const std::size_t cells = p.cost.size();
-  const bool has_optimum = optimum.optimal() && optimum.flow.size() == cells;
+  const bool has_optimum = optimum.optimal();
   switch (kind) {
     case 0: return std::vector<double>(cells, 0.0);
     case 1: return std::vector<double>(cells, 1.0);
     case 3:
-      if (has_optimum) return optimum.flow;
+      if (has_optimum) return dense_flow(optimum, cells);
       break;
     case 4:
       if (has_optimum) {
-        std::vector<double> moved = optimum.flow;
+        std::vector<double> moved = dense_flow(optimum, cells);
         for (double& h : moved)
           if (rng.bernoulli(0.2)) h = h > 0.0 ? 0.0 : rng.uniform(0.0, 2.0);
         return moved;
