@@ -14,7 +14,9 @@ compare when the candidate value meets or exceeds the budget, regardless of
 how the baseline did. A record whose metric ends in "_pivots" (the cold
 solve's simplex pivot count) repeats exactly from run to run, so it fails
 the compare as soon as it rises above the baseline, with zero tolerance.
-Other metrics are reported informationally.
+"samples_per_sec" (the data-plane loopback throughput) is higher-is-better:
+a candidate more than --threshold below the baseline fails. Other metrics
+are reported informationally.
 
 Rates that are higher-is-neutral telemetry (delegation_rate,
 delegated_share, cache_hit_rate, ...) are reported informationally and never
@@ -53,6 +55,11 @@ def is_timing(metric):
     """
     return "ms_per_cycle" in metric or (
         "failover" in metric and metric.endswith("_ms"))
+
+
+def is_throughput(metric):
+    """Higher-is-better rates the compare gates on."""
+    return metric == "samples_per_sec"
 
 
 def is_pivot_count(metric):
@@ -115,6 +122,16 @@ def compare(baseline, candidate, threshold):
                 failures.append(
                     f"{key[0]} [{key[1]}]: {old:g} -> {new:g} pivots "
                     f"(a deterministic count may not rise)"
+                )
+            lines.append(f"  {verdict:8s} {key[0]} [{key[1]}]: {old:g} -> {new:g}")
+            continue
+        if is_throughput(key[0]):
+            verdict = "ok"
+            if old > 0 and new < old * (1.0 - threshold):
+                verdict = "SLOWER"
+                failures.append(
+                    f"{key[0]} [{key[1]}]: {old:g} -> {new:g} "
+                    f"({(new / old - 1.0) * 100:.1f}% < -{threshold * 100:.0f}%)"
                 )
             lines.append(f"  {verdict:8s} {key[0]} [{key[1]}]: {old:g} -> {new:g}")
             continue
@@ -229,6 +246,33 @@ def self_test():
     ]
     failures, _ = compare(pivots, one_more, 0.10)
     assert failures, "one pivot more must fail, whatever the threshold"
+    rate = dict(base)
+    rate["records"] = [
+        {"metric": "samples_per_sec", "config": "mode=full", "value": 2.0e6},
+        {"metric": "payload_bytes_per_sec", "config": "mode=full",
+         "value": 1.0e7},
+    ]
+    faster = dict(base)
+    faster["records"] = [
+        {"metric": "samples_per_sec", "config": "mode=full", "value": 9.0e6},
+        {"metric": "payload_bytes_per_sec", "config": "mode=full",
+         "value": 1.0e6},
+    ]
+    failures, _ = compare(rate, faster, 0.10)
+    assert not failures, (
+        f"a higher sample rate and any byte-rate change must pass: {failures}")
+    slight = dict(base)
+    slight["records"] = [
+        {"metric": "samples_per_sec", "config": "mode=full", "value": 1.85e6},
+    ]
+    failures, _ = compare(rate, slight, 0.10)
+    assert not failures, f"a 7.5% lower sample rate must pass 10%: {failures}"
+    slower = dict(base)
+    slower["records"] = [
+        {"metric": "samples_per_sec", "config": "mode=full", "value": 1.7e6},
+    ]
+    failures, _ = compare(rate, slower, 0.10)
+    assert failures, "a 15% lower sample rate must fail a 10% threshold"
     print("bench_compare self-test: PASS")
 
 
@@ -237,7 +281,8 @@ def main():
     parser.add_argument("baseline", nargs="?")
     parser.add_argument("candidate", nargs="?")
     parser.add_argument("--threshold", type=float, default=0.10,
-                        help="max allowed relative slowdown (default 0.10)")
+                        help="max allowed relative slowdown or rate drop "
+                             "(default 0.10)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in assertions and exit")
     args = parser.parse_args()

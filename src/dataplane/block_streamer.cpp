@@ -143,8 +143,7 @@ std::size_t BlockStreamer::ship(std::vector<PendingBlock> batch) {
     entry.descriptor.bit_count = block.payload_bit_count();
     entry.descriptor.first_timestamp_ms = block.first_timestamp_ms();
     entry.descriptor.last_timestamp_ms = block.last_timestamp_ms();
-    entry.descriptor.last_value =
-        block.sample_count() > 0 ? block.decode().back().value : 0.0;
+    entry.descriptor.last_value = block.last_value();
     body.blocks.push_back(std::move(entry));
     payloads.push_back(
         wire::PayloadRef{block.payload().data(), block.payload().size()});

@@ -153,7 +153,7 @@ void Collector::on_blocks(wire::Frame&& frame) {
     try {
       rebuilt = telemetry::CompressedBlock::from_wire(
           std::move(block.payload), d.bit_count, d.sample_count,
-          d.first_timestamp_ms, d.last_timestamp_ms);
+          d.first_timestamp_ms, d.last_timestamp_ms, d.last_value);
       const std::vector<telemetry::Sample> samples = rebuilt.decode();
       valid = samples.size() == d.sample_count &&
               samples.front().timestamp_ms == d.first_timestamp_ms &&

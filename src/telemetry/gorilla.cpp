@@ -17,8 +17,30 @@ void BitWriter::write_bit(bool bit) {
 
 void BitWriter::write_bits(std::uint64_t value, unsigned bits) {
   if (bits > 64) throw std::invalid_argument("BitWriter::write_bits: bits > 64");
-  for (unsigned i = bits; i-- > 0;)
-    write_bit((value >> i) & 1u);
+  if (bits == 0) return;
+  const unsigned used = bit_count_ % 8;  // bits already in the partial byte
+  if (used + bits > 64) {
+    // The field straddles nine bytes: two writes that each fit one word.
+    write_bits(value >> 32, bits - 32);
+    write_bits(value, 32);
+    return;
+  }
+  if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
+  // Assemble the partial last byte and the new field in one MSB-aligned
+  // word (padding past bit_count_ is zero, so OR-ing it in is exact), then
+  // store the word's bytes: the partial byte in place, the rest appended.
+  const std::size_t pos = bit_count_ / 8;
+  const unsigned span = used + bits;
+  std::uint64_t word = value << (64 - span);
+  unsigned byte = 0;
+  if (used > 0) {
+    word |= static_cast<std::uint64_t>(data_[pos]) << 56;
+    data_[pos] = static_cast<std::uint8_t>(word >> 56);
+    byte = 1;
+  }
+  for (; byte < (span + 7) / 8; ++byte)
+    data_.push_back(static_cast<std::uint8_t>(word >> (56 - 8 * byte)));
+  bit_count_ += bits;
 }
 
 BitWriter BitWriter::from_bytes(std::vector<std::uint8_t> data,
@@ -83,19 +105,18 @@ void CompressedBlock::append(const Sample& sample) {
   } else {
     const std::int64_t delta = sample.timestamp_ms - prev_timestamp_;
     const std::int64_t dod = delta - prev_delta_;
+    // Control bits and field go out in one write. Each bucket keeps |dod|
+    // within 2^(w-1) - 1 so the zigzagged value fits its w-bit field.
     if (dod == 0) {
-      writer_.write_bit(false);
-    } else if (dod >= -63 && dod <= 64) {
-      writer_.write_bits(0b10, 2);
-      writer_.write_bits(zigzag(dod), 7);
-    } else if (dod >= -255 && dod <= 256) {
-      writer_.write_bits(0b110, 3);
-      writer_.write_bits(zigzag(dod), 9);
-    } else if (dod >= -2047 && dod <= 2048) {
-      writer_.write_bits(0b1110, 4);
-      writer_.write_bits(zigzag(dod), 12);
+      writer_.write_bit(false);                               // '0'
+    } else if (dod >= -63 && dod <= 63) {
+      writer_.write_bits((0b10u << 7) | zigzag(dod), 9);      // '10' + 7
+    } else if (dod >= -255 && dod <= 255) {
+      writer_.write_bits((0b110u << 9) | zigzag(dod), 12);    // '110' + 9
+    } else if (dod >= -2047 && dod <= 2047) {
+      writer_.write_bits((0b1110u << 12) | zigzag(dod), 16);  // '1110' + 12
     } else {
-      writer_.write_bits(0b1111, 4);
+      writer_.write_bits(0b1111, 4);                          // '1111' + 64
       writer_.write_bits(zigzag(dod), 64);
     }
     prev_delta_ = delta;
@@ -109,31 +130,35 @@ void CompressedBlock::append(const Sample& sample) {
   } else {
     const std::uint64_t x = bits ^ prev_value_bits_;
     if (x == 0) {
-      writer_.write_bit(false);
+      writer_.write_bit(false);  // '0': value repeats
     } else {
-      writer_.write_bit(true);
       auto leading = static_cast<unsigned>(std::countl_zero(x));
       auto trailing = static_cast<unsigned>(std::countr_zero(x));
       if (leading > 31) leading = 31;  // cap so the window field fits
       if (has_window_ && leading >= prev_leading_ && trailing >= prev_trailing_) {
-        // Fits in the previous meaningful-bit window.
-        writer_.write_bit(false);
+        // '10' + the meaningful bits in the previous window.
         const unsigned length = 64 - prev_leading_ - prev_trailing_;
-        writer_.write_bits(x >> prev_trailing_, length);
+        const std::uint64_t meaningful = x >> prev_trailing_;
+        if (length <= 62) {
+          writer_.write_bits((std::uint64_t{0b10} << length) | meaningful,
+                             length + 2);
+        } else {
+          writer_.write_bits(0b10, 2);
+          writer_.write_bits(meaningful, length);
+        }
       } else {
-        writer_.write_bit(true);
+        // '11' + 6-bit leading zeros + 6-bit length - 1 (length in [1, 64])
+        // + the meaningful bits of a new window.
         const unsigned length = 64 - leading - trailing;
-        writer_.write_bits(leading, 6);
-        writer_.write_bits(length - 1, 6);  // length in [1, 64]
+        writer_.write_bits((0b11u << 12) | (leading << 6) | (length - 1), 14);
         writer_.write_bits(x >> trailing, length);
         prev_leading_ = leading;
         prev_trailing_ = trailing;
         has_window_ = true;
       }
     }
-    prev_value_bits_ = bits;
   }
-  if (count_ == 0) prev_value_bits_ = bits;
+  prev_value_bits_ = bits;
   ++count_;
 }
 
@@ -246,17 +271,17 @@ CompressedBlock CompressedBlock::deserialize(std::istream& is) {
   const auto byte_count = static_cast<std::size_t>(get<std::uint64_t>(is));
   if (byte_count != (bit_count + 7) / 8)
     throw std::runtime_error("CompressedBlock: inconsistent sizes");
-  std::vector<char> raw(byte_count);
-  is.read(raw.data(), static_cast<std::streamsize>(byte_count));
+  std::vector<std::uint8_t> bytes(byte_count);
+  is.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(byte_count));
   if (static_cast<std::size_t>(is.gcount()) != byte_count)
     throw std::runtime_error("CompressedBlock: truncated payload");
-  // Rebuild the writer bit-exactly.
-  BitWriter writer;
-  for (std::size_t bit = 0; bit < bit_count; ++bit) {
-    const auto byte = static_cast<std::uint8_t>(raw[bit / 8]);
-    writer.write_bit((byte >> (7 - bit % 8)) & 1u);
-  }
-  block.writer_ = std::move(writer);
+  // The writer ORs its next field into the partial last byte, so bits past
+  // bit_count must be zero or the restored block's next append corrupts.
+  if (bit_count % 8 != 0 &&
+      (bytes.back() & (0xFFu >> (bit_count % 8))) != 0)
+    throw std::runtime_error("CompressedBlock: non-zero padding bits");
+  block.writer_ = BitWriter::from_bytes(std::move(bytes), bit_count);
   return block;
 }
 
@@ -264,13 +289,19 @@ CompressedBlock CompressedBlock::from_wire(std::vector<std::uint8_t> payload,
                                            std::size_t bit_count,
                                            std::size_t sample_count,
                                            std::int64_t first_timestamp_ms,
-                                           std::int64_t last_timestamp_ms) {
+                                           std::int64_t last_timestamp_ms,
+                                           double last_value) {
   CompressedBlock block;
   block.writer_ = BitWriter::from_bytes(std::move(payload), bit_count);
   block.count_ = sample_count;
   block.first_timestamp_ = first_timestamp_ms;
   block.prev_timestamp_ = last_timestamp_ms;
+  block.prev_value_bits_ = double_bits(last_value);
   return block;
+}
+
+double CompressedBlock::last_value() const noexcept {
+  return bits_double(prev_value_bits_);
 }
 
 double CompressedBlock::compression_ratio() const {

@@ -67,6 +67,9 @@ class CompressedBlock {
   [[nodiscard]] std::int64_t last_timestamp_ms() const noexcept {
     return prev_timestamp_;
   }
+  /// Value of the last sample, kept by the XOR encoder — no decode needed.
+  /// 0.0 for an empty block.
+  [[nodiscard]] double last_value() const noexcept;
 
   /// Decode the whole block.
   [[nodiscard]] std::vector<Sample> decode() const;
@@ -90,14 +93,16 @@ class CompressedBlock {
   }
 
   /// Rebuild a block from its wire form (payload + framing metadata). The
-  /// result is read-only in spirit: decode() works, but the XOR append state
-  /// is not recovered, so appending to it would corrupt the stream. Throws
-  /// std::invalid_argument on inconsistent sizes.
+  /// result is read-only in spirit: decode() and last_value() work, but the
+  /// XOR window and timestamp delta are not recovered, so appending to it
+  /// would corrupt the stream. Throws std::invalid_argument on inconsistent
+  /// sizes.
   static CompressedBlock from_wire(std::vector<std::uint8_t> payload,
                                    std::size_t bit_count,
                                    std::size_t sample_count,
                                    std::int64_t first_timestamp_ms,
-                                   std::int64_t last_timestamp_ms);
+                                   std::int64_t last_timestamp_ms,
+                                   double last_value);
 
  private:
   BitWriter writer_;

@@ -233,7 +233,7 @@ TimeSeries TimeSeries::deserialize(std::istream& is) {
           ? &series.active_
           : (series.sealed_.empty() ? nullptr : &series.sealed_.back());
   if (tail != nullptr && tail->sample_count() > 0)
-    series.last_ = tail->decode().back();
+    series.last_ = Sample{tail->last_timestamp_ms(), tail->last_value()};
   return series;
 }
 

@@ -1,8 +1,9 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) for wire framing.
 //
-// Self-contained so the codec carries no external dependency; the table is
-// built once at first use. Incremental form (`update`) lets the socket
-// transport checksum scattered buffers without concatenating them.
+// Self-contained so the codec carries no external dependency; slice-by-8
+// over eight compile-time tables, eight input bytes per step. Incremental
+// form (`update`) lets the socket transport checksum scattered buffers
+// without concatenating them.
 #pragma once
 
 #include <cstddef>

@@ -92,6 +92,52 @@ TEST(Dataplane, FullModeStreamsBitExactSamples) {
   }
 }
 
+// Degraded modes re-encode each thinned block on the streamer; the
+// descriptor's last_value comes from the re-encoded block without a decode,
+// and the collector's full verify decode must agree with it on every block.
+TEST(Dataplane, DegradedReencodeShipsTheKeptLastValue) {
+  wire::SocketTransport hub(hub_config());
+  wire::SocketTransport leaf(leaf_config(hub.listen_port()));
+  dataplane::Collector collector(hub, "dust-collector");
+  leaf.register_endpoint("dust-streamer-4", [](const sim::Envelope&) {});
+
+  telemetry::Tsdb tsdb;
+  const telemetry::MetricId id = tsdb.register_metric(
+      {"temp", "C", telemetry::MetricKind::kGauge});
+
+  dataplane::BlockStreamerConfig config;
+  config.owner = 4;
+  config.local_endpoint = "dust-streamer-4";
+  config.backpressure_enter = 0.0;  // every pump escalates...
+  config.backpressure_exit = -1.0;  // ...and never relaxes
+  dataplane::BlockStreamer streamer(leaf, tsdb, config);
+
+  util::Rng rng(9);
+  std::int64_t now_ms = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      now_ms += 10;
+      tsdb.append(id, telemetry::Sample{now_ms, rng.uniform(-20.0, 90.0)});
+    }
+    tsdb.series(id).seal_now();
+    streamer.pump();
+    pump(leaf, hub, 10);
+  }
+  pump(leaf, hub);
+
+  EXPECT_NE(streamer.mode(), telemetry::DegradeMode::kFull);
+  EXPECT_GT(streamer.stats().samples_thinned, 0u);
+  ASSERT_GT(streamer.stats().samples_sent, 0u);
+  EXPECT_EQ(collector.stats().verify_failures, 0u);
+  EXPECT_EQ(collector.stats().samples, streamer.stats().samples_sent);
+  const auto got = collector.tsdb().find("node4/temp");
+  ASSERT_TRUE(got.has_value());
+  const std::vector<telemetry::Sample> stored =
+      collector.tsdb().query(*got, 0, now_ms);
+  ASSERT_FALSE(stored.empty());
+  EXPECT_EQ(collector.tsdb().series(*got).last(), stored.back());
+}
+
 TEST(Dataplane, CongestionWalksTheLadderAndDeclaresAllLoss) {
   wire::SocketTransport hub(hub_config());
   wire::SocketTransport leaf(leaf_config(hub.listen_port(), 3));

@@ -2,6 +2,7 @@
 // databases keep accepting appends, corrupt input is rejected.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "telemetry/tsdb.hpp"
@@ -47,6 +48,75 @@ TEST(BlockPersistence, RejectsTruncatedPayload) {
   bytes.resize(bytes.size() / 2);
   std::stringstream truncated(bytes);
   EXPECT_THROW(CompressedBlock::deserialize(truncated), std::runtime_error);
+}
+
+// Save mid-block at every bit alignment, keep appending: the restored block
+// must write exactly the bytes of a twin that was never serialized.
+TEST(BlockPersistence, RestoredBlockKeepsAppendingLikeItsTwin) {
+  util::Rng rng(11);
+  std::vector<Sample> series;
+  std::int64_t t = 0;
+  double v = 10.0;
+  for (int i = 0; i < 120; ++i) {
+    t += 900 + static_cast<std::int64_t>(rng.below(200));
+    if (rng.below(3) != 0) v += rng.uniform(-2.0, 2.0);
+    series.push_back({t, v});
+  }
+  std::set<std::size_t> alignments;
+  for (std::size_t cut = 1; cut < series.size(); ++cut) {
+    CompressedBlock twin;
+    for (std::size_t i = 0; i < cut; ++i) twin.append(series[i]);
+    alignments.insert(twin.payload_bit_count() % 8);
+    std::stringstream buffer;
+    twin.serialize(buffer);
+    CompressedBlock restored = CompressedBlock::deserialize(buffer);
+    for (std::size_t i = cut; i < series.size(); ++i) {
+      twin.append(series[i]);
+      restored.append(series[i]);
+      ASSERT_EQ(restored.payload_bit_count(), twin.payload_bit_count());
+      ASSERT_EQ(restored.payload(), twin.payload()) << "cut " << cut;
+    }
+  }
+  EXPECT_EQ(alignments.size(), 8u);  // every partial-byte offset was a cut
+}
+
+TEST(BlockPersistence, RejectsNonZeroPaddingBits) {
+  CompressedBlock block;
+  block.append({0, 1.0});
+  block.append({1000, 2.0});
+  ASSERT_NE(block.payload_bit_count() % 8, 0u);  // has a padded last byte
+  std::stringstream buffer;
+  block.serialize(buffer);
+  std::string bytes = buffer.str();
+  bytes.back() = static_cast<char>(bytes.back() | 0x01);  // lowest = padding
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(CompressedBlock::deserialize(corrupt), std::runtime_error);
+}
+
+TEST(TsdbPersistence, MidBlockSnapshotAppendsLikeItsTwin) {
+  Tsdb db;
+  const MetricId id = db.register_metric({"cpu", "%", MetricKind::kGauge});
+  util::Rng rng(8);
+  std::int64_t t = 0;
+  auto next = [&] {
+    t += 1000 + static_cast<std::int64_t>(rng.below(50));
+    return Sample{t, rng.uniform(0.0, 100.0)};
+  };
+  for (int i = 0; i < 1500; ++i) db.append(id, next());  // ends mid-block
+  std::stringstream snapshot;
+  db.save(snapshot);
+  Tsdb restored = Tsdb::load(snapshot);
+  ASSERT_EQ(restored.series(id).last(), db.series(id).last());
+  for (int i = 0; i < 1500; ++i) {
+    const Sample sample = next();
+    db.append(id, sample);
+    restored.append(id, sample);
+  }
+  std::stringstream a, b;
+  db.save(a);
+  restored.save(b);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(restored.storage_bytes(), db.storage_bytes());
 }
 
 TEST(TsdbPersistence, FullDatabaseRoundTrip) {
