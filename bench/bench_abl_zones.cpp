@@ -19,7 +19,7 @@ int main() {
 
   core::OptimizerOptions options;
   options.placement.max_hops = 4;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+  options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
   options.allow_partial = true;
 
   util::Table table("zone size sweep");

@@ -40,7 +40,7 @@ int main() {
     util::global_pool().parallel_for(runs, [&](std::size_t i) {
       core::Nmdb nmdb = bench::fat_tree_scenario(4, streams[i], thresholds);
       core::OptimizerOptions options;
-      options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+      options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
       const core::PlacementResult r = core::OptimizationEngine(options).run(nmdb);
       infeasible[i] = r.optimal() ? 0 : 1;
     });

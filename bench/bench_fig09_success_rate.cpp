@@ -39,7 +39,7 @@ int main() {
     // Condition on iterations where the full optimization succeeds, as the
     // paper does (io-rate iterations are Figure 7's subject).
     core::OptimizerOptions options;
-    options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+    options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
     const core::PlacementResult opt = core::OptimizationEngine(options).run(nmdb);
     if (!opt.optimal() || nmdb.busy_nodes().empty()) {
       ++skipped;

@@ -83,15 +83,15 @@ core::Nmdb bench_scenario(std::uint32_t k) {
   return core::Nmdb(std::move(s), core::Thresholds{});
 }
 
-void BM_PlacementPipelineDp(benchmark::State& state) {
+void BM_PlacementPipelineFrontier(benchmark::State& state) {
   core::Nmdb nmdb = bench_scenario(static_cast<std::uint32_t>(state.range(0)));
   core::OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+  options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
   options.allow_partial = true;
   const core::OptimizationEngine engine(options);
   for (auto _ : state) benchmark::DoNotOptimize(engine.run(nmdb));
 }
-BENCHMARK(BM_PlacementPipelineDp)->Arg(4)->Arg(8);
+BENCHMARK(BM_PlacementPipelineFrontier)->Arg(4)->Arg(8);
 
 void BM_HeuristicEngine(benchmark::State& state) {
   core::Nmdb nmdb = bench_scenario(static_cast<std::uint32_t>(state.range(0)));

@@ -126,7 +126,7 @@ RunStats run_cycles(Pattern pattern, bool incremental, std::size_t cycles,
   core::OptimizerOptions options;
   options.placement.max_hops = 4;
   options.placement.evaluator = net::EvaluatorMode::kEnumerate;
-  options.placement.parallel_trmin = true;
+  options.placement.solver_threads = 0;  // the whole pool
   options.allow_partial = true;
   if (incremental) {
     options.placement.response_cache = &cache;

@@ -35,7 +35,7 @@ LongRunStats run(bool with_dust, std::size_t rounds, std::uint64_t seed) {
     nmdb.network().set_node_utilization(v, rng.uniform(40.0, 70.0));
 
   core::OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+  options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
   options.allow_partial = true;
   const core::OptimizationEngine engine(options);
   const core::Thresholds& thresholds = nmdb.default_thresholds();

@@ -69,7 +69,7 @@ core::OptimizerOptions pipeline_options(net::ResponseTimeCache* cache,
   core::OptimizerOptions options;
   options.placement.max_hops = max_hops;
   options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
-  options.placement.parallel_trmin = true;
+  options.placement.solver_threads = 0;  // the whole pool
   options.placement.response_cache = cache;
   options.allow_partial = true;
   options.warm_start = true;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
     core::OptimizerOptions options;
     options.placement.max_hops = 4;
-    options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+    options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
     options.allow_partial = true;
     const core::PlacementResult opt = core::OptimizationEngine(options).run(nmdb);
     ilp.objective.add(opt.objective);

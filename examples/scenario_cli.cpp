@@ -400,8 +400,6 @@ int main(int argc, char** argv) {
     const auto trace = core::load_trace(trace_in);
     core::ReplayOptions replay_options;
     replay_options.optimizer.placement.max_hops = max_hops;
-    replay_options.optimizer.placement.evaluator =
-        net::EvaluatorMode::kHopBoundedDp;
     const core::ReplayReport report =
         core::replay_trace(nmdb, trace, replay_options);
     util::Table table("trace replay report");

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
 
   core::OptimizerOptions options;
   options.placement.max_hops = 4;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
-  options.placement.parallel_trmin = true;
+  options.placement.evaluator = net::EvaluatorMode::kSharedFrontier;
+  options.placement.solver_threads = 0;  // the whole pool
   options.allow_partial = true;
 
   util::Timer global_timer;

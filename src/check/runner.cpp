@@ -44,14 +44,11 @@ RunReport run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   config.keepalive_timeout_ms = options.keepalive_timeout_ms;
   config.keepalive_check_period_ms = options.keepalive_check_period_ms;
   config.incremental_placement = options.incremental_placement;
-  config.trust_weighting = options.trust_weighting;
   config.keepalive_miss_threshold = options.keepalive_miss_threshold;
   config.optimizer.allow_partial = true;  // scenarios routinely exceed Cd
   config.optimizer.verify_warm_start = options.incremental_placement;
   config.optimizer.placement.max_hops = spec.max_hops;
-  // Bounded DP keeps Trmin cheap on fat-tree k=8; the enumerate-vs-DP
-  // equivalence is covered by the solver-layer tests, not re-checked here.
-  config.optimizer.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+  config.optimizer.placement.trust_weighting = options.trust_weighting;
 
   core::DustManager manager(sim, transport, build_nmdb(spec), config);
 
@@ -71,7 +68,8 @@ RunReport run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   // I7 bookkeeping: consecutive placement cycles each node spent below the
   // trust exclusion threshold going INTO the current cycle.
   std::vector<std::size_t> distrust_streak(spec.node_count, 0);
-  const double trust_exclude_below = config.trust_exclude_below;
+  const double trust_exclude_below =
+      config.optimizer.placement.trust_exclude_below;
 
   manager.set_cycle_observer([&](const core::CycleObservation& observation) {
     ++report.cycles_observed;

@@ -32,9 +32,9 @@ struct RunOptions {
   std::size_t max_oracle_cycles = 4;
   OracleOptions oracle;
   InvariantOptions invariant;
-  /// Trust-weighted placement (DESIGN.md §14) pass-throughs into
-  /// core::ManagerConfig. Off by default so every pre-existing scenario runs
-  /// exactly as before.
+  /// Trust-weighted placement (DESIGN.md §14), passed to the manager's
+  /// optimizer.placement.trust_weighting. Off by default so every
+  /// pre-existing scenario runs exactly as before.
   bool trust_weighting = false;
   int keepalive_miss_threshold = 1;
   /// Cadence of the runner's deterministic delivery audit: per acknowledged

@@ -29,16 +29,6 @@ DustManager::DustManager(sim::Simulator& sim, sim::TransportBase& transport,
     config_.optimizer.placement.response_cache = &trmin_cache_;
     config_.optimizer.warm_start = true;
   }
-  if (config_.solver_threads != 0) {
-    config_.optimizer.placement.parallel_trmin = true;
-    config_.optimizer.placement.solver_threads = config_.solver_threads;
-  }
-  if (config_.trust_weighting) {
-    config_.optimizer.placement.trust_weighting = true;
-    config_.optimizer.placement.trust_cost_penalty = config_.trust_cost_penalty;
-    config_.optimizer.placement.trust_exclude_below =
-        config_.trust_exclude_below;
-  }
   engine_ = OptimizationEngine(config_.optimizer);
   const std::size_t n = nmdb_.network().graph().node_count();
   last_stat_at_.assign(n, kNeverStat);
@@ -500,14 +490,14 @@ void DustManager::check_keepalives() {
     metrics_.keepalive_failures->inc();
     flight().record(obs::FlightEventKind::kKeepaliveFailure, sim_->now(), 0,
                     node, obs::FlightEvent::kNoNode, 0.0, "timeout");
-    if (config_.trust_weighting) update_trust(node, 0.0);
+    if (config_.optimizer.placement.trust_weighting) update_trust(node, 0.0);
     replace_destination(node, /*quarantine=*/true);
   }
 }
 
 void DustManager::record_loss_audit(graph::NodeId node, double expected,
                                     double delivered) {
-  if (!config_.trust_weighting) return;
+  if (!config_.optimizer.placement.trust_weighting) return;
   metrics_.loss_audits->inc();
   const double observation =
       expected > 0.0 ? std::clamp(delivered / expected, 0.0, 1.0) : 1.0;
@@ -523,17 +513,17 @@ void DustManager::update_trust(graph::NodeId node, double observation) {
   const double after = std::clamp(
       before + config_.trust_ewma_alpha * (observation - before), 0.0, 1.0);
   if (after == before) return;
+  const double threshold = config_.optimizer.placement.trust_exclude_below;
   nmdb_.set_trust(node, after);
   if (after < before) metrics_.trust_penalties->inc();
   metrics_.trust_min->set(nmdb_.min_trust());
   metrics_.distrusted_nodes->set(
-      static_cast<double>(nmdb_.distrusted_count(config_.trust_exclude_below)));
+      static_cast<double>(nmdb_.distrusted_count(threshold)));
   flight().record(obs::FlightEventKind::kRoleChange, sim_->now(), 0, node,
                   obs::FlightEvent::kNoNode, after, "trust");
-  if (before >= config_.trust_exclude_below &&
-      after < config_.trust_exclude_below) {
+  if (before >= threshold && after < threshold) {
     DUST_LOG_INFO << "manager: node " << node << " trust " << after
-                  << " crossed below " << config_.trust_exclude_below
+                  << " crossed below " << threshold
                   << " — excluded from placement";
     if (destination_hosting(node)) {
       ++trust_evictions_;
@@ -603,8 +593,9 @@ void DustManager::replace_destination(graph::NodeId failed, bool quarantine) {
       if (candidate == failed || candidate == old.busy) continue;
       // Distrusted nodes are no better as replicas than as planned
       // destinations (DESIGN.md §14).
-      if (config_.trust_weighting &&
-          nmdb_.trust(candidate) < config_.trust_exclude_below)
+      const PlacementOptions& placement = config_.optimizer.placement;
+      if (placement.trust_weighting &&
+          nmdb_.trust(candidate) < placement.trust_exclude_below)
         continue;
       const double spare =
           nmdb_.thresholds(candidate)

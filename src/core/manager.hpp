@@ -48,35 +48,27 @@ struct ManagerConfig {
   /// since. With the default link epsilon of 0 the plans are optimal exactly
   /// as with full recomputation (warm starts change the pivot path, not the
   /// optimum, though at a tie they may pick another equal-cost plan);
-  /// steady-state cycles get dramatically cheaper. Off by default so
-  /// explicitly configured optimizer options are untouched.
-  bool incremental_placement = false;
+  /// steady-state cycles get dramatically cheaper. On, it points
+  /// optimizer.placement.response_cache at the manager's cache and sets
+  /// optimizer.warm_start.
+  bool incremental_placement = true;
   /// Keepalive hysteresis: a supervised destination is declared failed only
   /// after this many *consecutive* keepalive checks found it overdue. The
   /// default of 1 is the historical behaviour (declare on the first overdue
   /// check); 2+ keeps a node oscillating just inside/outside the deadline
   /// from thrashing replica substitution (DESIGN.md §14).
   int keepalive_miss_threshold = 1;
-  /// Trust-weighted placement (DESIGN.md §14). Off by default: with it off
-  /// the manager never writes trust state and plans exactly as before. On,
-  /// each node carries an EWMA trust score updated from observed-vs-promised
-  /// behaviour — keepalive failures and loss audits push it down, clean
-  /// audits pull it back up — which (a) multiplies that candidate's Trmin
-  /// column by 1 + trust_cost_penalty*(1-trust), (b) excludes candidates
-  /// below trust_exclude_below from placement and replica selection, and
-  /// (c) evicts live offloads from a node the moment it crosses below the
-  /// exclusion threshold.
-  bool trust_weighting = false;
-  /// EWMA weight of the newest observation: t += alpha * (obs - t).
+  /// EWMA weight of the newest trust observation: t += alpha * (obs - t).
+  /// Used only when optimizer.placement.trust_weighting is on (DESIGN.md
+  /// §14): then each node carries an EWMA trust score updated from
+  /// observed-vs-promised behaviour — keepalive failures and loss audits
+  /// push it down, clean audits pull it back up — which (a) scales that
+  /// candidate's Trmin column, (b) excludes candidates below
+  /// placement.trust_exclude_below from placement and replica selection,
+  /// and (c) evicts live offloads from a node the moment it crosses below
+  /// that threshold. With weighting off the manager never writes trust
+  /// state.
   double trust_ewma_alpha = 0.4;
-  double trust_exclude_below = 0.5;
-  double trust_cost_penalty = 4.0;
-  /// Parallel Trmin row fill (DESIGN.md §13): nonzero turns on
-  /// placement.parallel_trmin capped at this many pool workers; plans stay
-  /// bit-identical to the serial fill. 0 leaves the configured optimizer
-  /// options untouched. The pool itself is sized via DUST_THREADS (or
-  /// util::global_pool's first-use argument).
-  std::size_t solver_threads = 0;
   /// Transport endpoint this manager answers on. The default is the
   /// classic single-manager name every client targets; federated
   /// deployments give each shard its own ("dust-manager-shard0", ...) and
@@ -163,7 +155,7 @@ class DustManager {
   /// Feed one loss-audit observation (collector declared/undeclared gap
   /// audit, or the dust::check delivery model): of `expected` samples
   /// promised by destination `node` in the audit window, `delivered`
-  /// actually arrived. No-op unless trust_weighting is on.
+  /// actually arrived. No-op unless placement trust weighting is on.
   void record_loss_audit(graph::NodeId node, double expected,
                          double delivered);
   [[nodiscard]] double trust(graph::NodeId node) const {
@@ -237,7 +229,7 @@ class DustManager {
   [[nodiscard]] bool destination_hosting(graph::NodeId node) const;
   /// EWMA-update `node`'s trust toward `observation` (0 = betrayed promise,
   /// 1 = behaved). Evicts the node's live offloads when it crosses below
-  /// the exclusion threshold. Only called when trust_weighting is on.
+  /// the exclusion threshold. Only called when trust weighting is on.
   void update_trust(graph::NodeId node, double observation);
 
   /// Global-registry handles (dust_core_*), resolved once at construction.

@@ -87,7 +87,7 @@ PlacementProblem build_placement_problem(const Nmdb& nmdb,
     if (result.truncated) truncated = true;
   };
   const std::size_t rows = problem.busy.size();
-  if (options.parallel_trmin && rows > 1) {
+  if (options.solver_threads != 1 && rows > 1) {
     // Chunked fan-out (DESIGN.md §13): each worker claims row chunks and
     // fills them with its own thread_local scratch — no allocation per
     // chunk, NUMA-friendly first-touch. Per-chunk work tallies land in

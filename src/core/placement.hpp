@@ -18,20 +18,22 @@ namespace dust::core {
 struct PlacementOptions {
   /// Max-hop bound on controllable routes (0 = unbounded).
   std::uint32_t max_hops = 0;
-  /// Paper-faithful exhaustive enumeration vs. fast DP (see DESIGN.md).
-  net::EvaluatorMode evaluator = net::EvaluatorMode::kEnumerate;
+  /// Trmin evaluator (net/response_time.hpp). The shared frontier is exact
+  /// and cheap at any bound; kEnumerate is the paper's exhaustive route
+  /// walk, for reproducing its runtime figures with a hop bound.
+  net::EvaluatorMode evaluator = net::EvaluatorMode::kSharedFrontier;
   /// Safety cap per source in enumerate mode (0 = none).
   std::size_t max_paths_per_source = 0;
-  /// Compute Trmin rows on the global thread pool: busy rows are split into
-  /// chunks claimed by pool workers (util::ThreadPool::parallel_for_chunks),
-  /// each worker reusing its own thread_local evaluation scratch. Placements
-  /// are bit-identical to the serial fill at any worker count (rows are
-  /// disjoint; per-chunk work tallies are reduced serially in chunk order).
-  bool parallel_trmin = false;
-  /// Worker cap for the parallel row fill (0 = the whole pool). The pool
-  /// itself is sized once at first use via DUST_THREADS or
-  /// util::global_pool's argument; this knob narrows one build below that.
-  std::size_t solver_threads = 0;
+  /// Workers for the Trmin row fill: 1 (the default) fills rows serially on
+  /// the calling thread and never touches util::global_pool(); 0 uses the
+  /// whole pool; N uses at most N pool workers. A parallel fill splits the
+  /// busy rows into chunks claimed by pool workers
+  /// (util::ThreadPool::parallel_for_chunks), each reusing its own
+  /// thread_local evaluation scratch; placements are bit-identical to the
+  /// serial fill at any worker count (rows are disjoint; per-chunk work
+  /// tallies are reduced serially in chunk order). The pool itself is sized
+  /// once at first use via DUST_THREADS or util::global_pool's argument.
+  std::size_t solver_threads = 1;
   /// Incremental pipeline (DESIGN.md §8): when set, Trmin rows are served
   /// from / recorded into this dirty-aware cache instead of evaluated from
   /// scratch. The caller owns the cache and must call begin_cycle() on it
@@ -43,7 +45,9 @@ struct PlacementOptions {
   ///   w_j = 1 + trust_cost_penalty * (1 - trust_j)
   /// after the row fill (the cache keeps unweighted rows, so toggling trust
   /// never pollutes it). w_j is exactly 1.0 at trust 1.0, so a fully trusted
-  /// fleet builds a bit-identical problem with weighting on or off.
+  /// fleet builds a bit-identical problem with weighting on or off. A
+  /// DustManager with weighting on also keeps the trust scores up to date
+  /// and applies the same threshold to replica selection and eviction.
   bool trust_weighting = false;
   double trust_cost_penalty = 4.0;
   double trust_exclude_below = 0.5;

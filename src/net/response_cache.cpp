@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 
 #include "graph/paths.hpp"
@@ -119,61 +118,21 @@ void ResponseTimeCache::sync(NetworkState& net) {
   //                    segment minima d(s,a) + cost + d(b,v) on the
   //                    refreshed costs — cannot beat the cached unit Trmin.
   //
-  // Rows without used_edges (kHopBoundedDp) fall back to the conservative
-  // hop-ball test: one multi-source BFS from all moved endpoints, row
-  // invalid iff dist(s) + 1 <= max_hops (0 = unbounded).
-  //
-  // The cheap tests run first, in one pass over the rows; the supported
-  // rows they keep wait in `pending` for the improved-link test, which runs
+  // The worsened-link probe runs first, in one pass over the rows; the rows
+  // it keeps wait in `pending` for the improved-link test, which runs
   // link-major and stops once nothing is pending. With no cached row this
-  // is the whole fast path: no hop ball, no BFS, no SSSP.
-  static thread_local std::vector<std::uint32_t> dist;  // hop ball
-  bool ball_built = false;
-  const auto build_ball = [&] {
-    dist.assign(n, graph::kUnreachable);
-    std::queue<graph::NodeId> frontier;
-    for (const MovedLink& m : moved) {
-      const graph::Edge& edge = g.edge(m.e);
-      for (graph::NodeId endpoint : {edge.a, edge.b}) {
-        if (dist[endpoint] != 0) {
-          dist[endpoint] = 0;
-          frontier.push(endpoint);
-        }
-      }
-    }
-    while (!frontier.empty()) {
-      const graph::NodeId node = frontier.front();
-      frontier.pop();
-      for (const graph::Adjacency& adj : g.neighbors(node)) {
-        if (dist[adj.neighbor] == graph::kUnreachable) {
-          dist[adj.neighbor] = dist[node] + 1;
-          frontier.push(adj.neighbor);
-        }
-      }
-    }
-    ball_built = true;
-  };
-  const auto cheap_tests_pass = [&](graph::NodeId s, const Entry& entry) {
-    if (entry.unit.used_edges.empty()) {
-      // No edge support recorded: conservative hop-ball reachability.
-      if (!ball_built) build_ball();
-      if (dist[s] == graph::kUnreachable) return true;
-      return entry.max_hops != 0 && dist[s] + 1 > entry.max_hops;
-    }
-    if (any_worsened) {
-      for (const MovedLink& m : moved) {
-        if (!m.worsened) continue;
-        if (entry.unit.used_edges[m.e / 64] &
-            (std::uint64_t{1} << (m.e % 64)))
-          return false;
-      }
-    }
-    return true;
+  // is the whole fast path: no BFS, no SSSP.
+  const auto uses_worsened_link = [&](const Entry& entry) {
+    for (const MovedLink& m : moved)
+      if (m.worsened && (entry.unit.used_edges[m.e / 64] &
+                         (std::uint64_t{1} << (m.e % 64))))
+        return true;
+    return false;
   };
 
-  // The improved-link bound is taken at the loosest hop bound of every
-  // supported row valid on entry, dropped or not: a tighter bound would
-  // change which rows survive. If no cost moved, every row stands.
+  // The improved-link bound is taken at the loosest hop bound of every row
+  // valid on entry, dropped or not: a tighter bound would change which rows
+  // survive. If no cost moved, every row stands.
   std::uint32_t max_hops_cap = 0;
   bool unbounded_rows = false;
   static thread_local std::vector<graph::NodeId> pending;
@@ -182,16 +141,14 @@ void ResponseTimeCache::sync(NetworkState& net) {
   for (graph::NodeId s = 0; s < n && !moved.empty(); ++s) {
     Entry& entry = entries_[s];
     if (!entry.valid) continue;
-    if (!entry.unit.used_edges.empty()) {
-      if (entry.max_hops == 0)
-        unbounded_rows = true;
-      else
-        max_hops_cap = std::max(max_hops_cap, entry.max_hops);
-    }
-    if (!cheap_tests_pass(s, entry)) {
+    if (entry.max_hops == 0)
+      unbounded_rows = true;
+    else
+      max_hops_cap = std::max(max_hops_cap, entry.max_hops);
+    if (any_worsened && uses_worsened_link(entry)) {
       entry.valid = false;
       ++dropped;
-    } else if (!entry.unit.used_edges.empty()) {
+    } else {
       pending.push_back(s);
     }
   }

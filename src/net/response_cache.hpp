@@ -15,13 +15,12 @@
 //                    invalidate iff d(s,a) + c + d(b,v) < Trmin[s][v] for
 //                    some v (Dijkstra lower bound on the refreshed costs).
 //
-// Rows without recorded edge support (kHopBoundedDp) fall back to the
-// conservative hop-ball test — one multi-source BFS from all moved
-// endpoints, invalidate iff dist(s) + 1 <= max_hops. Dirty links come
-// from NetworkState's epsilon-filtered tracking: with epsilon = 0 cached rows
-// are bit-identical to from-scratch evaluation (tested); with epsilon > 0
-// they are stale by at most the configured Lu band (the same trade a
-// telemetry system makes when it reports utilization with hysteresis).
+// Both evaluators record that support, so every cached row carries it.
+// Dirty links come from NetworkState's epsilon-filtered tracking: with
+// epsilon = 0 cached rows are bit-identical to from-scratch evaluation
+// (tested); with epsilon > 0 they are stale by at most the configured Lu
+// band (the same trade a telemetry system makes when it reports utilization
+// with hysteresis).
 //
 // Thread-safety: begin_cycle is exclusive; row()/row_into() may then be
 // called concurrently for distinct sources (per-source slots, atomic stats),
@@ -61,13 +60,12 @@ class ResponseTimeCache {
   /// Sync with the network's links: consume net.dirty_links() (the network is
   /// re-snapshotted), refresh the cached 1/Lu costs for those links, and
   /// drop the cached rows a moved link can change, by the direction-aware
-  /// tests above. One pass over the rows runs the cheap tests (hop ball for
-  /// rows without support, used_edges probe for worsened links) and queues
-  /// the other supported rows; the improved-link test then runs link-major,
-  /// one SSSP + BFS pair per improved link into reused O(n) buffers, and
-  /// stops once no row is queued. With no cached row that leaves O(dirty + n)
-  /// work and no SSSP; otherwise O(improved links x (SSSP + queued rows x n))
-  /// time and O(n) scratch. Call once per placement cycle, before any row()
+  /// tests above. One pass over the rows runs the used_edges probe for
+  /// worsened links and queues the rows it keeps; the improved-link test
+  /// then runs link-major, one SSSP + BFS pair per improved link into reused
+  /// O(n) buffers, and stops once no row is queued. With no cached row that
+  /// leaves O(dirty + n) work and no SSSP; otherwise O(improved links x
+  /// (SSSP + queued rows x n)) time and O(n) scratch. Call once per placement cycle, before any row()
   /// query. A topology change (different node/edge counts) resets the cache
   /// wholesale. Each call is timed into the dust_net_begin_cycle_ms
   /// histogram.
@@ -78,8 +76,8 @@ class ResponseTimeCache {
   /// representative at the bucket's geometric midpoint — and a dirty link
   /// whose representative did not change re-baselines WITHOUT invalidating
   /// rows. This is what rescues the hit rate under hot-links / scattered-heavy
-  /// churn, where every cycle dirties some link inside almost every row's hop
-  /// ball but utilization only jitters: jitter within a bucket is invisible.
+  /// churn, where every cycle moves some link near almost every row but
+  /// utilization only jitters: jitter within a bucket is invisible.
   /// Cost: each link's 1/Lu is off by at most a factor (1+step)^(1/2), so a
   /// row's Trmin is within (1+step)^(hops/2) of exact. step = 0 (default)
   /// restores exact costs and bit-identical rows. Changing the step drops all

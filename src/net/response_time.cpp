@@ -30,19 +30,11 @@ void min_response_times_into(const NetworkState& net, graph::NodeId source,
   out.truncated = false;
   out.used_edges.clear();
 
-  if (options.mode == EvaluatorMode::kHopBoundedDp) {
-    graph::hop_bounded_min_cost_into(net.graph(), source, inverse_costs,
-                                     options.max_hops, out.trmin_seconds);
-    for (double& t : out.trmin_seconds)
-      if (t != graph::kInfiniteCost) t *= data_mb;
-    out.work = options.max_hops ? options.max_hops : net.node_count() - 1;
-    return;
-  }
-
   if (options.mode == EvaluatorMode::kSharedFrontier) {
     // One sparse layered sweep computes the whole row *and* the winning-path
-    // edge support — same labels as kHopBoundedDp, same used_edges contract
-    // as kEnumerate (see graph::shared_frontier_labels_into).
+    // edge support — same labels as graph::hop_bounded_min_cost, same
+    // used_edges contract as kEnumerate (see
+    // graph::shared_frontier_labels_into).
     std::size_t rounds = 0;
     graph::shared_frontier_labels_into(net.graph(), source, inverse_costs,
                                        options.max_hops, out.trmin_seconds,

@@ -7,14 +7,17 @@
 // edges. Two evaluators:
 //   kEnumerate — exhaustive DFS over all hop-bounded simple paths. This is
 //     the paper-faithful mode whose cost grows explosively with max-hop and
-//     produces the runtime shapes of Figs 8/10/11b.
-//   kHopBoundedDp — layered Bellman-Ford, O(max_hops * |E|); provably equal
-//     Trmin for non-negative edge costs (validated in tests + ablation).
-//   kSharedFrontier — one sparse layered-DP sweep per source (DESIGN.md §13)
-//     that yields the same Trmin labels as kHopBoundedDp *and* the used-edge
-//     support bitmap kEnumerate records, so ResponseTimeCache keeps its
-//     direction-aware invalidation at DP cost. The scale mode: this is what
-//     makes fat-tree k=32 and 10^5-node graphs tractable per cycle.
+//     produces the runtime shapes of Figs 8/10/11b; only the figure benches
+//     select it, each with its own hop bound.
+//   kSharedFrontier — the default: one sparse layered-DP sweep per source
+//     (DESIGN.md §13), O(rounds * |E|), with labels bit-identical to
+//     graph::hop_bounded_min_cost and equal to the enumerator's minima for
+//     non-negative edge costs. It also records the used-edge support
+//     bitmap, so ResponseTimeCache keeps its direction-aware invalidation.
+//     The sweep stops at the last strict improvement, so an unbounded query
+//     (max_hops = 0) costs only as many rounds as the longest winning path
+//     has hops: this is what makes fat-tree k=32 and 10^5-node graphs
+//     tractable per cycle.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +29,11 @@
 
 namespace dust::net {
 
-enum class EvaluatorMode { kEnumerate, kHopBoundedDp, kSharedFrontier };
+enum class EvaluatorMode { kEnumerate, kSharedFrontier };
 
 struct ResponseTimeOptions {
   std::uint32_t max_hops = 0;  ///< 0 = unbounded (node_count - 1)
-  EvaluatorMode mode = EvaluatorMode::kEnumerate;
+  EvaluatorMode mode = EvaluatorMode::kSharedFrontier;
   /// Safety cap on paths explored per source in kEnumerate mode
   /// (0 = no cap). When hit, results are still valid upper bounds on Trmin.
   std::size_t max_paths_per_source = 0;
@@ -40,16 +43,14 @@ struct ResponseTimeResult {
   /// Trmin in seconds to every node (infinity where unreachable within the
   /// hop bound). Entry [source] is 0.
   std::vector<double> trmin_seconds;
-  /// Paths explored (kEnumerate) or relaxation rounds (kHopBoundedDp).
+  /// Paths explored (kEnumerate) or frontier rounds (kSharedFrontier).
   std::size_t work = 0;
   bool truncated = false;  ///< kEnumerate hit max_paths_per_source
-  /// kEnumerate / kSharedFrontier: bitmap over EdgeId (bit e = word e/64,
-  /// bit e%64) of the edges on the winning path to each destination. The
+  /// Bitmap over EdgeId (bit e = word e/64, bit e%64) of the edges on the
+  /// winning path to each destination, recorded by both evaluators. The
   /// row's values depend on exactly these edges plus, for *improvements*,
   /// any edge whose cost drops — which is what lets ResponseTimeCache keep
-  /// a row alive when a link it never used got worse. Empty in
-  /// kHopBoundedDp mode (callers must then treat every edge as potentially
-  /// used).
+  /// a row alive when a link it never used got worse.
   std::vector<std::uint64_t> used_edges;
 };
 

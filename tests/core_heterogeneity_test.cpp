@@ -127,7 +127,6 @@ TEST(Heterogeneity, FactorOneMatchesHomogeneousSolver) {
       graph::FatTree(4).graph(), net::LinkProfile{}, net::NodeLoadProfile{}, rng);
   Nmdb nmdb(std::move(state), Thresholds{});
   OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   options.allow_partial = true;
   const PlacementResult homogeneous = OptimizationEngine(options).run(nmdb);
   // Equal non-unit factors everywhere: coefficients are still 1, so the
@@ -153,7 +152,6 @@ TEST_P(HeterogeneitySweep, FactorWeightedFeasibility) {
   for (graph::NodeId v = 0; v < nmdb.node_count(); ++v)
     nmdb.set_platform_factor(v, rng.uniform(0.5, 4.0));
   OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   options.allow_partial = true;
   const PlacementResult r = OptimizationEngine(options).run(nmdb);
   ASSERT_TRUE(r.optimal());

@@ -107,7 +107,6 @@ TEST_P(MultiResourceSweep, TighterThanSingleResource) {
     ratio[v] = rng.uniform(0.2, 1.5);
   }
   MultiResourceOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const MultiResourceProblem problem =
       build_multi_resource_problem(nmdb, mem_util, ratio, options);
   const MultiResourceResult multi = solve_multi_resource(problem);

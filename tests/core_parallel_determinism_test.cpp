@@ -1,4 +1,4 @@
-// Serial vs parallel_trmin determinism (DESIGN.md §13): the chunked
+// Serial vs parallel row-fill determinism (DESIGN.md §13): the chunked
 // pool-backed Trmin row fill must produce *bit-identical* placements to the
 // serial fill at every worker count. Rows are disjoint, each worker reuses
 // its own scratch, and per-chunk work tallies are reduced serially in chunk
@@ -75,8 +75,9 @@ std::vector<Scenario> scenarios(std::uint64_t seed) {
 class ParallelDeterminism
     : public ::testing::TestWithParam<net::EvaluatorMode> {};
 
-// The headline contract: thread counts 1, 2, 8 all reproduce the serial
-// build and the serial solve bit-for-bit, on both topology families.
+// The headline contract: worker counts 0 (the whole pool), 1 (serial), 2 and
+// 8 all reproduce the serial build and the serial solve bit-for-bit, on
+// both topology families.
 TEST_P(ParallelDeterminism, SerialAndParallelBitIdentical) {
   for (Scenario& scenario : scenarios(71)) {
     PlacementOptions serial;
@@ -93,11 +94,10 @@ TEST_P(ParallelDeterminism, SerialAndParallelBitIdentical) {
     const PlacementResult reference_solved =
         OptimizationEngine(solve_opt).run(scenario.nmdb);
 
-    for (std::size_t threads : {1u, 2u, 8u}) {
+    for (std::size_t threads : {0u, 1u, 2u, 8u}) {
       SCOPED_TRACE(::testing::Message()
                    << scenario.name << " threads=" << threads);
       PlacementOptions parallel = serial;
-      parallel.parallel_trmin = true;
       parallel.solver_threads = threads;
       expect_same_problem(reference,
                           build_placement_problem(scenario.nmdb, parallel));
@@ -117,7 +117,6 @@ TEST_P(ParallelDeterminism, RepeatedParallelBuildsAgree) {
     PlacementOptions options;
     options.max_hops = 4;
     options.evaluator = GetParam();
-    options.parallel_trmin = true;
     options.solver_threads = 8;
     const PlacementProblem first =
         build_placement_problem(scenario.nmdb, options);

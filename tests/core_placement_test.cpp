@@ -68,8 +68,8 @@ TEST(Placement, MaxHopOneLeavesCandidatesUnreachable) {
 TEST(Placement, DpAndEnumerationProduceSameProblem) {
   Fig4 f = Fig4::make();
   PlacementOptions enum_opt;
-  PlacementOptions dp_opt;
-  dp_opt.evaluator = net::EvaluatorMode::kHopBoundedDp;
+  enum_opt.evaluator = net::EvaluatorMode::kEnumerate;
+  PlacementOptions dp_opt;  // the shared-frontier layered DP
   const PlacementProblem a = build_placement_problem(f.nmdb, enum_opt);
   const PlacementProblem b = build_placement_problem(f.nmdb, dp_opt);
   ASSERT_EQ(a.trmin.size(), b.trmin.size());
@@ -85,7 +85,7 @@ TEST(Placement, ParallelTrminMatchesSerial) {
   PlacementOptions serial;
   serial.max_hops = 4;
   PlacementOptions parallel = serial;
-  parallel.parallel_trmin = true;
+  parallel.solver_threads = 0;  // the whole pool
   const PlacementProblem a = build_placement_problem(nmdb, serial);
   const PlacementProblem b = build_placement_problem(nmdb, parallel);
   ASSERT_EQ(a.trmin.size(), b.trmin.size());

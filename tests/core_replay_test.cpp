@@ -54,7 +54,6 @@ TEST(Replay, AppliesUpdatesAndPlacesLoad) {
       "70000, 0, 92\n"); // still overloaded into the second cycle window
   ReplayOptions options;
   options.placement_period_ms = 60000;
-  options.optimizer.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const ReplayReport report = replay_trace(nmdb, trace, options);
   EXPECT_EQ(report.updates_applied, 2u);
   EXPECT_GE(report.placement_cycles, 1u);
@@ -70,7 +69,6 @@ TEST(Replay, MeasureOnlyLeavesStateOverloaded) {
   const auto trace = parse("0, 0, 92\n60000, 1, 55\n");
   ReplayOptions options;
   options.apply_plans = false;
-  options.optimizer.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const ReplayReport report = replay_trace(nmdb, trace, options);
   EXPECT_GT(report.overloaded_node_cycles, 0u);
   EXPECT_NEAR(nmdb.network().node_utilization(0), 92.0, 1e-9);
@@ -85,7 +83,6 @@ TEST(Replay, CapacityShortfallReportedAsUnplaced) {
   Nmdb nmdb(std::move(state), Thresholds{});
   const auto trace = parse("0, 0, 99\n");
   ReplayOptions options;
-  options.optimizer.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const ReplayReport report = replay_trace(nmdb, trace, options);
   EXPECT_NEAR(report.total_offloaded, 3.0, 1e-6);
   EXPECT_NEAR(report.total_unplaced, 16.0, 1e-6);

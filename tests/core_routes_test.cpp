@@ -93,7 +93,6 @@ TEST_P(RoutesSweep, ResolvedRoutesMatchPlacement) {
   Nmdb nmdb(std::move(state), Thresholds{});
   OptimizerOptions opt;
   opt.placement.max_hops = 6;
-  opt.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   opt.allow_partial = true;
   const PlacementResult placement = OptimizationEngine(opt).run(nmdb);
   RouteOptions route_options;

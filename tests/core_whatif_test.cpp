@@ -44,7 +44,6 @@ TEST_P(WhatIfSweep, OptimalPlanClearsAllOverload) {
       graph::FatTree(4).graph(), net::LinkProfile{}, net::NodeLoadProfile{}, rng);
   Nmdb nmdb(std::move(state), Thresholds{});
   OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const PlacementResult result = OptimizationEngine(options).run(nmdb);
   if (!result.optimal()) GTEST_SKIP();
   const auto candidates_before = nmdb.candidate_nodes();

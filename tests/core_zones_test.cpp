@@ -84,7 +84,6 @@ TEST_P(ZonedOptimizeSweep, AssignmentsStayInZoneAndFeasible) {
 
   OptimizerOptions options;
   options.placement.max_hops = 4;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const ZonedResult result = optimize_by_zones(nmdb, 20, options);
   EXPECT_GE(result.zones, 4u);
 
@@ -112,7 +111,6 @@ TEST_P(ZonedOptimizeSweep, ZonedObjectiveNeverBeatsGlobal) {
       graph::FatTree(4).graph(), net::LinkProfile{}, net::NodeLoadProfile{}, rng);
   Nmdb nmdb(std::move(state), Thresholds{});
   OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const PlacementResult global = OptimizationEngine(options).run(nmdb);
   const ZonedResult zoned = optimize_by_zones(nmdb, 10, options);
   if (!global.optimal() || zoned.unplaced > 1e-9) GTEST_SKIP();

@@ -93,7 +93,6 @@ TEST(Oracles, SolverCrossCheckCleanOnGeneratedScenarios) {
     const core::Nmdb nmdb = build_nmdb(spec);
     core::PlacementOptions placement;
     placement.max_hops = spec.max_hops;
-    placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
     const core::PlacementProblem problem =
         core::build_placement_problem(nmdb, placement);
     if (problem.busy.size() * problem.candidates.size() > options.max_cells)
@@ -111,7 +110,6 @@ TEST(Oracles, NmdbCrossCheckCleanOnGeneratedScenarios) {
     const core::Nmdb nmdb = build_nmdb(spec);
     core::PlacementOptions placement;
     placement.max_hops = spec.max_hops;
-    placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
     const std::vector<Violation> v = cross_check_nmdb(nmdb, placement, {});
     EXPECT_TRUE(v.empty()) << "seed " << seed << ":\n" << describe(v);
   }
@@ -197,7 +195,6 @@ TEST(Oracles, DirtyBasisOracleCleanOnLongSchedules) {
     const core::Nmdb nmdb = build_nmdb(spec);
     core::PlacementOptions placement;
     placement.max_hops = spec.max_hops;
-    placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
     const std::vector<Violation> v =
         cross_check_nmdb(nmdb, placement, options);
     EXPECT_TRUE(v.empty()) << "seed " << seed << ":\n" << describe(v);

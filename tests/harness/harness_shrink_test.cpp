@@ -21,7 +21,6 @@ bool capacity_bug_caught(const ScenarioSpec& spec) {
   const core::Nmdb nmdb = build_nmdb(spec);
   core::PlacementOptions placement;
   placement.max_hops = spec.max_hops;
-  placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const core::PlacementProblem problem =
       core::build_placement_problem(nmdb, placement);
   if (problem.busy.empty() || problem.candidates.empty()) return false;

@@ -28,7 +28,6 @@ TEST_P(ScenarioSweep, FeasibilityMatchesCapacityBalance) {
   Nmdb nmdb = scenario(GetParam());
   OptimizerOptions options;
   options.placement.max_hops = 8;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const PlacementResult r = OptimizationEngine(options).run(nmdb);
   if (nmdb.total_excess() <= nmdb.total_spare()) {
     EXPECT_TRUE(r.optimal());
@@ -45,7 +44,6 @@ TEST_P(ScenarioSweep, ObjectiveMonotoneInMaxHop) {
   for (std::uint32_t hops : {8u, 6u, 4u, 2u}) {
     OptimizerOptions options;
     options.placement.max_hops = hops;
-    options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
     const PlacementResult r = OptimizationEngine(options).run(nmdb);
     if (!r.optimal()) break;  // at some point routes run out — fine
     if (previous >= 0) {
@@ -61,7 +59,6 @@ TEST_P(ScenarioSweep, HeuristicSuccessImpliesOptimizationSuccess) {
   const HeuristicResult h = HeuristicEngine().run(nmdb);
   if (!h.complete() || h.busy_count == 0) GTEST_SKIP();
   OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const PlacementResult r = OptimizationEngine(options).run(nmdb);
   EXPECT_TRUE(r.optimal());
 }
@@ -72,6 +69,7 @@ TEST_P(ScenarioSweep, HeuristicFasterThanEnumeratingOptimizer) {
   const HeuristicResult h = HeuristicEngine().run(nmdb);
   OptimizerOptions options;
   options.placement.max_hops = 4;  // keep the test quick
+  options.placement.evaluator = net::EvaluatorMode::kEnumerate;
   const PlacementResult r = OptimizationEngine(options).run(nmdb);
   if (h.busy_count == 0) GTEST_SKIP();
   EXPECT_LT(h.solve_seconds, r.build_seconds + r.solve_seconds);
@@ -82,7 +80,6 @@ TEST_P(ScenarioSweep, HeuristicFasterThanEnumeratingOptimizer) {
 TEST_P(ScenarioSweep, ZonedVersusGlobal) {
   Nmdb nmdb = scenario(GetParam() ^ 0x44);
   OptimizerOptions options;
-  options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
   const PlacementResult global = OptimizationEngine(options).run(nmdb);
   const ZonedResult zoned = optimize_by_zones(nmdb, 10, options);
   if (!global.optimal() || zoned.unplaced > 1e-9) GTEST_SKIP();
@@ -112,7 +109,6 @@ TEST(DeltaIo, HigherDeltaReducesInfeasibleRate) {
           rng);
       Nmdb nmdb(std::move(state), thresholds);
       OptimizerOptions options;
-      options.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
       const PlacementResult r = OptimizationEngine(options).run(nmdb);
       if (!r.optimal()) ++infeasible;
     }

@@ -11,6 +11,11 @@
 // support or an improved link beats it, whatever order the tests run in, so
 // the digests must not move.
 //
+// The mixed-mode and unbounded fixtures' digests were recorded against the
+// cache that still carried a hop-ball fallback for rows without edge
+// support; every row now records support, and the cache without that
+// fallback must reproduce them bit for bit.
+//
 // net_response_cache_test.cpp checks that served rows equal a fresh
 // evaluation; an over-invalidating cache passes that check. These digests
 // also pin which rows stay cached.
@@ -148,14 +153,11 @@ std::string run_family(const Family& family) {
   return d.hex();
 }
 
-// Support-recording rows (shared frontier, enumerate) next to kHopBoundedDp
-// fallback rows, bounded and unbounded, in one cache.
+// Shared-frontier and enumerate rows, bounded and unbounded, in one cache.
 const std::vector<ResponseTimeOptions> kMixedModes = {
     {3, EvaluatorMode::kSharedFrontier, 0},
     {0, EvaluatorMode::kSharedFrontier, 0},
     {3, EvaluatorMode::kEnumerate, 0},
-    {3, EvaluatorMode::kHopBoundedDp, 0},
-    {0, EvaluatorMode::kHopBoundedDp, 0},
     {2, EvaluatorMode::kSharedFrontier, 0},
     {4, EvaluatorMode::kSharedFrontier, 0},
 };
@@ -165,7 +167,7 @@ TEST(ResponseTimeCacheDigest, FatTree4MixedModes) {
   f.topo = Topo::kFatTree4;
   f.seed = 0xF4;
   f.options = kMixedModes;
-  EXPECT_EQ(run_family(f), "3cc30d673558cf54");
+  EXPECT_EQ(run_family(f), "da42da695bf2101f");
 }
 
 TEST(ResponseTimeCacheDigest, FatTree8MixedModes) {
@@ -173,7 +175,7 @@ TEST(ResponseTimeCacheDigest, FatTree8MixedModes) {
   f.topo = Topo::kFatTree8;
   f.seed = 0xF8;
   f.options = kMixedModes;
-  EXPECT_EQ(run_family(f), "fc88f29745ae7179");
+  EXPECT_EQ(run_family(f), "05fff51e54b1e05f");
 }
 
 TEST(ResponseTimeCacheDigest, RandomGraphMixedModes) {
@@ -181,18 +183,7 @@ TEST(ResponseTimeCacheDigest, RandomGraphMixedModes) {
   f.topo = Topo::kRandom;
   f.seed = 0x4A4D;
   f.options = kMixedModes;
-  EXPECT_EQ(run_family(f), "657c37f48dbfc013");
-}
-
-// Only hop-ball fallback rows: no row records support.
-TEST(ResponseTimeCacheDigest, FallbackRowsOnly) {
-  Family f;
-  f.topo = Topo::kFatTree8;
-  f.seed = 0xDB;
-  f.options = {{3, EvaluatorMode::kHopBoundedDp, 0},
-               {2, EvaluatorMode::kHopBoundedDp, 0},
-               {0, EvaluatorMode::kHopBoundedDp, 0}};
-  EXPECT_EQ(run_family(f), "87caabbd7d86e330");
+  EXPECT_EQ(run_family(f), "456c40222fab6283");
 }
 
 // Supported rows with max_hops = 0 only: the unbounded Dijkstra bound.
@@ -200,9 +191,8 @@ TEST(ResponseTimeCacheDigest, UnboundedSupportedRows) {
   Family f;
   f.topo = Topo::kRandom;
   f.seed = 0x0B;
-  f.options = {{0, EvaluatorMode::kSharedFrontier, 0},
-               {0, EvaluatorMode::kHopBoundedDp, 0}};
-  EXPECT_EQ(run_family(f), "de54838aa20fac39");
+  f.options = {{0, EvaluatorMode::kSharedFrontier, 0}};
+  EXPECT_EQ(run_family(f), "2b280c04082eebcd");
 }
 
 // Supported rows with mixed hop bounds and none unbounded: the hop-bounded
@@ -237,7 +227,7 @@ TEST(ResponseTimeCacheDigest, RepriceEpsilon) {
   f.seed = 0xE9;
   f.options = kMixedModes;
   f.reprice_epsilon = 0.1;
-  EXPECT_EQ(run_family(f), "b42d3143d90b35ab");
+  EXPECT_EQ(run_family(f), "a6f51db54efd5b2e");
 }
 
 TEST(ResponseTimeCacheDigest, LuQuantum) {
@@ -246,7 +236,7 @@ TEST(ResponseTimeCacheDigest, LuQuantum) {
   f.seed = 0x0C;
   f.options = kMixedModes;
   f.lu_quantum = 0.5;
-  EXPECT_EQ(run_family(f), "429507313a7b9215");
+  EXPECT_EQ(run_family(f), "bdcf716fd8158608");
 }
 
 // Both bands together on the random graph, behind a link epsilon.
@@ -258,7 +248,7 @@ TEST(ResponseTimeCacheDigest, RepriceAndQuantumOnRandomGraph) {
   f.reprice_epsilon = 0.1;
   f.lu_quantum = 0.5;
   f.link_epsilon = 0.02;
-  EXPECT_EQ(run_family(f), "aec6dd254b99ceb0");
+  EXPECT_EQ(run_family(f), "2245f1a5c3a800cf");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "graph/topology.hpp"
@@ -43,7 +44,7 @@ void expect_bit_identical(const ResponseTimeResult& cached,
 TEST(ResponseTimeCache, FirstCycleMissesThenHits) {
   util::Rng rng(7);
   NetworkState net = fat_tree_net(4, rng);
-  ResponseTimeOptions opt{3, EvaluatorMode::kHopBoundedDp, 0};
+  ResponseTimeOptions opt{3, EvaluatorMode::kSharedFrontier, 0};
   ResponseTimeCache cache;
   cache.begin_cycle(net);
   const auto a = cache.row(net, 0, 10.0, opt);
@@ -58,7 +59,7 @@ TEST(ResponseTimeCache, FirstCycleMissesThenHits) {
 TEST(ResponseTimeCache, RescalesForDifferentDataVolumes) {
   util::Rng rng(11);
   NetworkState net = fat_tree_net(4, rng);
-  ResponseTimeOptions opt{4, EvaluatorMode::kHopBoundedDp, 0};
+  ResponseTimeOptions opt{4, EvaluatorMode::kSharedFrontier, 0};
   ResponseTimeCache cache;
   cache.begin_cycle(net);
   (void)cache.row(net, 2, 1.0, opt);  // prime with the unit volume
@@ -73,9 +74,9 @@ TEST(ResponseTimeCache, OptionChangeIsAMiss) {
   NetworkState net = fat_tree_net(4, rng);
   ResponseTimeCache cache;
   cache.begin_cycle(net);
-  ResponseTimeOptions dp{3, EvaluatorMode::kHopBoundedDp, 0};
-  ResponseTimeOptions wider{4, EvaluatorMode::kHopBoundedDp, 0};
-  (void)cache.row(net, 1, 5.0, dp);
+  ResponseTimeOptions narrow{3, EvaluatorMode::kSharedFrontier, 0};
+  ResponseTimeOptions wider{4, EvaluatorMode::kSharedFrontier, 0};
+  (void)cache.row(net, 1, 5.0, narrow);
   expect_bit_identical(cache.row(net, 1, 5.0, wider),
                        fresh_row(net, 1, 5.0, wider), 1);
   EXPECT_EQ(cache.stats().misses, 2u);
@@ -84,7 +85,7 @@ TEST(ResponseTimeCache, OptionChangeIsAMiss) {
 TEST(ResponseTimeCache, OutOfSyncQueriesBypassTheCache) {
   util::Rng rng(5);
   NetworkState net = fat_tree_net(4, rng);
-  ResponseTimeOptions opt{3, EvaluatorMode::kHopBoundedDp, 0};
+  ResponseTimeOptions opt{3, EvaluatorMode::kSharedFrontier, 0};
   ResponseTimeCache cache;
   cache.begin_cycle(net);
   (void)cache.row(net, 0, 2.0, opt);
@@ -103,7 +104,7 @@ TEST(ResponseTimeCache, EpsilonFiltersSubThresholdChurn) {
   net.set_link_epsilon(0.05);
   ResponseTimeCache cache;
   cache.begin_cycle(net);
-  ResponseTimeOptions opt{3, EvaluatorMode::kHopBoundedDp, 0};
+  ResponseTimeOptions opt{3, EvaluatorMode::kSharedFrontier, 0};
   for (graph::NodeId s = 0; s < net.node_count(); ++s)
     (void)cache.row(net, s, 1.0, opt);
   const auto misses_before = cache.stats().misses;
@@ -120,7 +121,7 @@ TEST(ResponseTimeCache, EpsilonFiltersSubThresholdChurn) {
   EXPECT_EQ(cache.stats().misses, misses_before);  // 100% hits
   EXPECT_EQ(cache.stats().invalidations, 0u);
 
-  // Crossing the band dirties the link and drops the rows in its ball.
+  // Crossing the band dirties the link and drops the rows it can beat.
   LinkState moved = net.link(0);
   moved.utilization = std::min(1.0, moved.utilization * 1.2);
   net.set_link(0, moved);
@@ -139,11 +140,9 @@ TEST(ResponseTimeCache, RandomizedEquivalenceUnderChurn) {
     NetworkState net = fat_tree_net(4, rng);
     ResponseTimeCache cache;
     const ResponseTimeOptions modes[] = {
-        {3, EvaluatorMode::kHopBoundedDp, 0},
-        {0, EvaluatorMode::kHopBoundedDp, 0},
-        {3, EvaluatorMode::kEnumerate, 0},
         {3, EvaluatorMode::kSharedFrontier, 0},
         {0, EvaluatorMode::kSharedFrontier, 0},
+        {3, EvaluatorMode::kEnumerate, 0},
     };
     for (int cycle = 0; cycle < 25; ++cycle) {
       // Churn a random subset of links (sometimes none — pure steady state).
@@ -156,7 +155,7 @@ TEST(ResponseTimeCache, RandomizedEquivalenceUnderChurn) {
       cache.begin_cycle(net);
       for (int q = 0; q < 12; ++q) {
         const auto s = static_cast<graph::NodeId>(rng.below(net.node_count()));
-        const ResponseTimeOptions& opt = modes[rng.below(5)];
+        const ResponseTimeOptions& opt = modes[rng.below(std::size(modes))];
         const double data_mb = rng.uniform(0.5, 200.0);
         expect_bit_identical(cache.row(net, s, data_mb, opt),
                              fresh_row(net, s, data_mb, opt), s);
@@ -175,7 +174,7 @@ TEST(ResponseTimeCache, RandomizedEquivalenceUnderChurn) {
 TEST(ResponseTimeCache, InvalidationNeverServesADirtyBall) {
   util::Rng rng(42);
   NetworkState net = fat_tree_net(4, rng);
-  ResponseTimeOptions opt{2, EvaluatorMode::kHopBoundedDp, 0};
+  ResponseTimeOptions opt{2, EvaluatorMode::kSharedFrontier, 0};
   ResponseTimeCache cache;
   cache.begin_cycle(net);
   for (graph::NodeId s = 0; s < net.node_count(); ++s)

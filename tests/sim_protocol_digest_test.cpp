@@ -156,7 +156,7 @@ FleetDigest run_fleet(std::uint32_t k, std::uint64_t seed) {
   config.placement_period_ms = 5000;
   config.keepalive_timeout_ms = 4000;
   config.keepalive_check_period_ms = 1000;
-  config.trust_weighting = true;
+  config.optimizer.placement.trust_weighting = true;
   config.incremental_placement = k >= 8;
   config.optimizer.allow_partial = true;
   config.optimizer.placement.max_hops = 4;
