@@ -5,8 +5,8 @@
 // transportation simplex < min-cost-flow << general simplex.
 #include <benchmark/benchmark.h>
 
+#include "check/simplex.hpp"
 #include "solver/min_cost_flow.hpp"
-#include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
 #include "util/rng.hpp"
 
@@ -40,8 +40,8 @@ void BM_Transportation(benchmark::State& state) {
 void BM_Simplex(benchmark::State& state) {
   const auto p = make_instance(static_cast<std::size_t>(state.range(0)),
                                static_cast<std::size_t>(state.range(1)), 42);
-  const solver::LinearProgram lp = solver::to_linear_program(p);
-  for (auto _ : state) benchmark::DoNotOptimize(solver::solve_simplex(lp));
+  const check::LinearProgram lp = check::to_linear_program(p);
+  for (auto _ : state) benchmark::DoNotOptimize(check::solve_simplex(lp));
 }
 
 void BM_MinCostFlow(benchmark::State& state) {

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "solver/lp.hpp"
+#include "solver/status.hpp"
 
 namespace dust::check {
 

@@ -5,9 +5,9 @@
 #include <sstream>
 #include <string>
 
+#include "check/simplex.hpp"
 #include "net/response_cache.hpp"
 #include "solver/exhaustive.hpp"
-#include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
 #include "util/rng.hpp"
 
@@ -73,8 +73,7 @@ std::vector<Violation> cross_check_solvers(const core::PlacementProblem& problem
     const core::PlacementResult r = core::OptimizationEngine(opt).solve(problem);
     runs.push_back({core::to_string(backend), r.status, r.objective});
   }
-  const solver::Solution simplex =
-      solver::solve_simplex(solver::to_linear_program(t));
+  const Solution simplex = solve_simplex(to_linear_program(t));
   runs.push_back({"simplex", simplex.status, simplex.objective});
   const Run& reference = runs.front();
   for (std::size_t r = 1; r < runs.size(); ++r) {

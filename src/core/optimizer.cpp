@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "solver/min_cost_flow.hpp"
-#include "solver/simplex.hpp"
 #include "solver/transportation.hpp"
 #include "util/timer.hpp"
 
@@ -33,72 +32,11 @@ void extract_assignments(const PlacementProblem& problem,
   }
 }
 
-// The rescaled model over y as an LP with its supply rows relaxed to ≤ (a
-// partial solve may leave load unplaced) and, when given, `objective` in
-// place of the cost.
-solver::LinearProgram relaxed_lp(const solver::TransportationProblem& t,
-                                 const std::vector<double>* objective = nullptr) {
-  const solver::LinearProgram exact = solver::to_linear_program(t);
-  solver::LinearProgram lp;
-  for (std::size_t v = 0; v < exact.variable_count(); ++v) {
-    const solver::Variable& var = exact.variable(v);
-    lp.add_variable(var.lower, var.upper,
-                    objective != nullptr ? (*objective)[v] : var.objective);
-  }
-  for (solver::Constraint c : exact.constraints()) {
-    if (c.sense == solver::Sense::kEqual) c.sense = solver::Sense::kLessEqual;
-    lp.add_constraint(std::move(c));
-  }
-  return lp;
-}
-
-PlacementResult solve_heterogeneous_partial(const PlacementProblem& problem) {
-  // Phase 1: maximize the shipped load Σ x = Σ y_ij / f_i, a weighted
-  // shipment that no pure network flow computes, so this stays on the
-  // general simplex; phase 2: minimum cost at that level.
-  PlacementResult result;
-  util::Timer timer;
-  const solver::TransportationProblem t = to_transportation(problem);
-  const std::size_t n = t.destinations();
-  std::vector<double> ship_objective(t.cost.size());  // -1 / f_i per cell
-  for (std::size_t cell = 0; cell < ship_objective.size(); ++cell)
-    ship_objective[cell] =
-        -1.0 / (problem.busy_factor.empty() ? 1.0
-                                            : problem.busy_factor[cell / n]);
-  const solver::Solution ship =
-      solver::solve_simplex(relaxed_lp(t, &ship_objective));
-  if (!ship.optimal()) {
-    result.status = ship.status;
-    result.solve_seconds = timer.seconds();
-    return result;
-  }
-  const double shipped = -ship.objective;
-  solver::LinearProgram min_cost = relaxed_lp(t);
-  std::vector<std::pair<std::size_t, double>> all;
-  for (std::size_t cell = 0; cell < ship_objective.size(); ++cell)
-    all.emplace_back(cell, -ship_objective[cell]);
-  // Slight slack keeps the pinned total numerically feasible.
-  min_cost.add_constraint(std::move(all), solver::Sense::kGreaterEqual,
-                          shipped * (1.0 - 1e-9) - 1e-9);
-  const solver::Solution s = solver::solve_simplex(min_cost);
-  result.status = s.status;
-  result.solver_iterations = ship.iterations + s.iterations;
-  if (s.optimal()) {
-    result.objective = s.objective;
-    std::vector<solver::TransportationCell> cells;
-    for (std::size_t cell = 0; cell < ship_objective.size(); ++cell)
-      if (s.values[cell] > 0.0) cells.push_back({cell, s.values[cell]});
-    extract_assignments(problem, cells, result);
-    result.unplaced = std::max(0.0, problem.total_excess() - shipped);
-  }
-  result.solve_seconds = timer.seconds();
-  return result;
-}
-
 // Successive shortest paths over source -> busy row i (Cs'_i) -> candidate
 // j (Trmin'_ij, uncapacitated) -> sink (Cd'_j) on the transportation form:
 // ships as much as the capacities allow at least cost. In exact mode a
-// shortfall is reported infeasible; otherwise it is left in `unplaced`.
+// shortfall is reported infeasible; otherwise (homogeneous problems only,
+// where the most flow is the most load) it is left in `unplaced`.
 PlacementResult solve_min_cost_flow(const PlacementProblem& problem,
                                     bool exact) {
   PlacementResult result;
@@ -171,8 +109,8 @@ const char* to_string(SolverBackend backend) noexcept {
 
 namespace {
 
-// Engine-level solve metrics; per-backend detail (simplex iterations, the
-// transportation start/pivot split) is recorded inside dust::solver itself.
+// Engine-level solve metrics; per-backend detail (the transportation
+// start/pivot split and pivot counts) is recorded inside dust::solver itself.
 // Handles are magic statics so parallel iteration sweeps only pay relaxed
 // atomics per solve.
 struct EngineMetrics {
@@ -387,8 +325,30 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
 
 PlacementResult OptimizationEngine::solve_partial(
     const PlacementProblem& problem) const {
-  if (problem.heterogeneous()) return solve_heterogeneous_partial(problem);
-  return solve_min_cost_flow(problem, false);
+  if (options_.backend == SolverBackend::kMinCostFlow && !problem.heterogeneous())
+    return solve_min_cost_flow(problem, false);
+  // The most load placed, Σ x_ij = Σ y_ij / f_i (row weight 1/f_i), then the
+  // least cost at that load, on the transportation form.
+  PlacementResult result;
+  util::Timer timer;
+  const solver::TransportationProblem t = to_transportation(problem);
+  std::vector<double> weight(t.sources(), 1.0);
+  for (std::size_t bi = 0; bi < problem.busy_factor.size(); ++bi)
+    weight[bi] = 1.0 / problem.busy_factor[bi];
+  const solver::TransportationResult solved =
+      solver::solve_transportation_partial(t, weight);
+  result.status = solved.status;
+  result.solver_iterations = solved.iterations;
+  if (solved.optimal()) {
+    result.objective = solved.objective;
+    extract_assignments(problem, solved.cells, result);
+    double placed = 0.0;
+    for (const auto& [cell, flow] : solved.cells)
+      placed += flow * weight[cell / t.destinations()];
+    result.unplaced = std::max(0.0, problem.total_excess() - placed);
+  }
+  result.solve_seconds = timer.seconds();
+  return result;
 }
 
 }  // namespace dust::core

@@ -3,7 +3,11 @@
 // instances (documented extension — the paper reports such instances as
 // "infeasible optimization", Fig. 7). Platform factors are rescaled away
 // (to_transportation), so every exact solve, heterogeneous or not, is a
-// pure transportation problem for the same two backends.
+// pure transportation problem for the same two backends. The partial
+// fallback runs on the transportation solver too
+// (solver::solve_transportation_partial, row weights 1/f_i); only
+// kMinCostFlow keeps its own successive-shortest-paths partial, on
+// homogeneous problems, so the two backends stay independent cross-checks.
 #pragma once
 
 #include "core/placement.hpp"
@@ -30,8 +34,9 @@ enum class SolverBackend {
 struct OptimizerOptions {
   PlacementOptions placement;
   SolverBackend backend = SolverBackend::kTransportation;
-  /// If the exact model is infeasible (ΣCs > reachable ΣCd), fall back to a
-  /// min-cost max-offload solve and report the remainder in `unplaced`.
+  /// If the exact model is infeasible (ΣCs > reachable ΣCd), fall back to
+  /// the cheapest placement of the most load that fits and report the
+  /// remainder in `unplaced`.
   bool allow_partial = false;
   /// Incremental pipeline (DESIGN.md §8): retain the previous cycle's
   /// optimal cells and use them to seed the next solve's starting basis.

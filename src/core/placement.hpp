@@ -11,7 +11,7 @@
 #include "core/nmdb.hpp"
 #include "net/response_cache.hpp"
 #include "net/response_time.hpp"
-#include "solver/lp.hpp"
+#include "solver/status.hpp"
 
 namespace dust::core {
 

@@ -20,10 +20,9 @@
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
 
-// solver — LP/transportation/min-cost-flow suite (the Gurobi stand-in).
-#include "solver/lp.hpp"
+// solver — the transportation engine (the Gurobi stand-in) and min-cost flow.
 #include "solver/min_cost_flow.hpp"
-#include "solver/simplex.hpp"
+#include "solver/status.hpp"
 #include "solver/transportation.hpp"
 
 // net — dynamic network state and response-time evaluation (Eq. 1-2).
@@ -54,7 +53,6 @@
 #include "core/heuristic.hpp"
 #include "core/manager.hpp"
 #include "core/messages.hpp"
-#include "core/multi_resource.hpp"
 #include "core/nmdb.hpp"
 #include "core/nms.hpp"
 #include "core/optimizer.hpp"

@@ -2,14 +2,16 @@
 //
 // Second exact backend for the placement problem's transportation form
 // (after the transportation simplex), used for cross-validation, the solver
-// ablation bench and the engine's partial-offload fallback. Costs must be
-// non-negative; capacities and flows are real.
+// ablation bench, the kMinCostFlow backend's partial offload on homogeneous
+// problems (an engine independent of the default backend's) and
+// graph::edge_disjoint_paths. Costs must be non-negative; capacities and
+// flows are real.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "solver/lp.hpp"
+#include "solver/status.hpp"
 
 namespace dust::solver {
 

@@ -6,13 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "solver/min_cost_flow.hpp"
 #include "util/timer.hpp"
 
 namespace dust::solver {
@@ -55,27 +55,6 @@ struct SolveMetrics {
 std::uint64_t order_key(double cost) {
   const auto bits = std::bit_cast<std::uint64_t>(cost == 0.0 ? 0.0 : cost);
   return bits >> 63 != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
-}
-
-// True when the allowed cells cannot carry the full supply at all: the max
-// flow source -> rows (Cs) -> allowed cells -> columns (Cd) -> sink falls
-// short. Probed once on a long solve, where big-M pricing noise can keep an
-// infeasible instance pivoting without ever proving it.
-bool shortfall(const TransportationProblem& problem, double total_supply) {
-  const std::size_t m = problem.sources();
-  const std::size_t n = problem.destinations();
-  const std::size_t source = m + n;
-  const std::size_t sink = m + n + 1;
-  MinCostFlow flow(m + n + 2);
-  for (std::size_t i = 0; i < m; ++i)
-    flow.add_arc(source, i, problem.supply[i], 0.0);
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    if (problem.cost[cell] != kInfinity)
-      flow.add_arc(cell / n, m + cell % n, kInfinity, 0.0);
-  for (std::size_t j = 0; j < n; ++j)
-    flow.add_arc(m + j, sink, problem.capacity[j], 0.0);
-  return flow.solve(source, sink).max_flow + kEps * (1.0 + total_supply) <
-         total_supply;
 }
 
 using Arc = TransportationCell;
@@ -148,6 +127,10 @@ class TransportSimplex {
 
   [[nodiscard]] const std::vector<Arc>& arcs() const noexcept { return arcs_; }
   [[nodiscard]] std::size_t iterations() const noexcept { return iterations_; }
+  /// u (rows) then v (columns), current for the basis at an optimal exit.
+  [[nodiscard]] const std::vector<double>& potentials() const noexcept {
+    return pot_;
+  }
   /// True once the solve has switched to Bland's rule.
   [[nodiscard]] bool bland() const noexcept { return bland_; }
 
@@ -414,12 +397,17 @@ class TransportSimplex {
   std::size_t degenerate_streak_ = 0;  ///< theta=0 pivots in a row
 };
 
-// One solve body behind both public entry points. `basis`, when non-null, is
+// The probe (DESIGN.md §13) solves a transportation problem of its own, so
+// it is declared ahead of the solve body that calls it.
+bool shortfall(const TransportationProblem& problem, double total_supply);
+
+// One solve body behind every public entry point. `basis`, when non-null, is
 // consulted for the dirty-basis fast path and refreshed (or invalidated) on
-// the way out.
+// the way out. `record` is false only for the probe, which is part of the
+// solve that ran it.
 TransportationResult solve_impl(const TransportationProblem& problem,
                                 const std::vector<TransportationCell>* warm,
-                                TransportationBasis* basis) {
+                                TransportationBasis* basis, bool record) {
   const std::size_t m = problem.sources();
   const std::size_t n = problem.destinations();
   if (problem.cost.size() != m * n)
@@ -430,21 +418,14 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   for (double c : problem.capacity)
     if (!(c >= 0))
       throw std::invalid_argument("solve_transportation: negative or NaN capacity");
-  // One branch-free pass over the costs fills the price grid and keeps the
-  // largest finite magnitude (for big-M) in four lanes; a NaN cost, which
-  // has no place in the start order or in pricing, is reported after the
-  // loop. Each thread keeps its grid (with room for the slack row) across
-  // solves, so a re-solve writes into pages it already holds instead of
-  // faulting in fresh ones.
-  static thread_local std::vector<double> grid;
-  grid.resize(m * n + n);
+  // One branch-free pass over the costs keeps the largest finite magnitude
+  // (for big-M) in four lanes; a NaN cost, which has no place in the start
+  // order or in pricing, is reported after the loop.
   const double* cost = problem.cost.data();
-  double* price = grid.data();
   double lane[4] = {1.0, 1.0, 1.0, 1.0};  // a running max per cell % 4
   bool nan = false;
   const auto scan = [&](std::size_t cell, double& largest) {
     const double c = cost[cell];
-    price[cell] = c;
     largest = std::max(largest, c == kInfinity ? 0.0 : std::abs(c));
     nan |= std::isnan(c);
   };
@@ -483,10 +464,17 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   bal.demand = problem.capacity;
   // Big-M strictly dominates any finite objective.
   const double big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    price[cell] = price[cell] == kInfinity ? big_m : price[cell];
-  grid.resize(bal.m * bal.n);
-  std::fill(grid.begin() + m * n, grid.end(), 0.0);  // the slack row costs 0
+  // The price grid: the costs with big-M on forbidden cells, then the slack
+  // row at 0. Each thread keeps its grid across solves, so a re-solve writes
+  // into pages it already holds instead of faulting in fresh ones.
+  static thread_local std::vector<double> grid;
+  const auto fill_prices = [&] {
+    grid.resize(bal.m * bal.n);
+    double* price = grid.data();
+    for (std::size_t c = 0; c < m * n; ++c)
+      price[c] = cost[c] == kInfinity ? big_m : cost[c];
+    std::fill(grid.begin() + m * n, grid.end(), 0.0);
+  };
 
   // Dirty-basis eligibility: the retained basis must come from the *same*
   // balanced instance modulo costs — identical shape and bit-identical
@@ -506,67 +494,138 @@ TransportationResult solve_impl(const TransportationProblem& problem,
         warm_cells.push_back(static_cast<std::uint32_t>(c.index));
     std::sort(warm_cells.begin(), warm_cells.end());
   }
-  // Two timer reads split the solve into the initial basis (least-cost
-  // start plus repair, or adopting the retained tree) and the pivot loop.
-  util::Timer timer;
-  TransportSimplex simplex(bal, grid);
-  if (dirty) {
-    simplex.seed_basis(basis->cells);
-    result.dirty_resolve = true;
-  } else {
-    simplex.initial_basis(warm != nullptr ? &warm_cells : nullptr);
-  }
-  const double start_seconds = timer.seconds();
-  // A solve still pivoting at 2(m+n) is checked once for a supply the
-  // allowed cells cannot carry, which big-M noise can keep pivoting until
-  // the whole budget is spent (DESIGN.md §13).
+
+  const std::size_t probe_at = 2 * (bal.m + bal.n);
   const std::size_t max_iterations = 100 * (bal.m + bal.n) * (bal.m + bal.n) + 1000;
-  Status status = simplex.solve(2 * (bal.m + bal.n));
-  const bool short_of_supply =
-      status == Status::kIterationLimit && shortfall(problem, total_supply);
-  if (status == Status::kIterationLimit && !short_of_supply)
-    status = simplex.solve(max_iterations);
-  const double pivot_seconds = timer.seconds() - start_seconds;
-  SolveMetrics& metrics = SolveMetrics::get();
-  metrics.start_ms.observe(start_seconds * 1e3);
-  metrics.pivot_ms.observe(pivot_seconds * 1e3);
-  metrics.pivots.observe(static_cast<double>(simplex.iterations()));
-  if (simplex.bland()) metrics.bland_fallbacks.inc();
-  result.iterations = simplex.iterations();
-  if (status == Status::kIterationLimit) {
-    if (basis != nullptr) basis->valid = false;
-    result.status = short_of_supply ? Status::kInfeasible : Status::kIterationLimit;
-    return result;
-  }
-  // Check forbidden cells and take the real rows' basic arcs (dummy-row
-  // cells index past m*n) in cell order, the order the objective sums in.
-  std::vector<Arc> real_arcs;
-  for (const Arc& arc : simplex.arcs()) {
-    if (arc.index >= m * n) continue;
-    if (arc.flow > kEps && problem.cost[arc.index] == kInfinity) {
-      if (basis != nullptr) basis->valid = false;
-      result.status = Status::kInfeasible;  // needed a forbidden route
-      return result;
+  double start_seconds = 0.0;
+  double pivot_seconds = 0.0;
+  bool bland = false;
+  // Builds the start and pivots up to `budget` pivots. Returns false if the
+  // solve stopped at the probe's budget; otherwise finishes it into `result`
+  // (and `basis`). Two timer reads split it into the initial basis (least-
+  // cost start plus repair, or adopting the retained tree) and the pivots.
+  const auto attempt = [&](std::size_t budget) {
+    fill_prices();
+    util::Timer timer;
+    TransportSimplex simplex(bal, grid);
+    if (dirty) {
+      simplex.seed_basis(basis->cells);
+      result.dirty_resolve = true;
+    } else {
+      simplex.initial_basis(warm != nullptr ? &warm_cells : nullptr);
     }
-    real_arcs.push_back(arc);
+    const double started = timer.seconds();
+    start_seconds += started;
+    const Status status = simplex.solve(budget);
+    pivot_seconds += timer.seconds() - started;
+    result.iterations = simplex.iterations();
+    bland = simplex.bland();
+    if (status == Status::kIterationLimit && budget < max_iterations) return false;
+    result.status = status;
+    if (status == Status::kIterationLimit) {
+      if (basis != nullptr) basis->valid = false;
+      return true;
+    }
+    // Check forbidden cells and take the real rows' basic arcs (dummy-row
+    // cells index past m*n) in cell order, the order the objective sums in.
+    std::vector<Arc> real_arcs;
+    for (const Arc& arc : simplex.arcs()) {
+      if (arc.index >= m * n) continue;
+      if (arc.flow > kEps && problem.cost[arc.index] == kInfinity) {
+        if (basis != nullptr) basis->valid = false;
+        result.status = Status::kInfeasible;  // needed a forbidden route
+        return true;
+      }
+      real_arcs.push_back(arc);
+    }
+    std::sort(real_arcs.begin(), real_arcs.end(),
+              [](const Arc& a, const Arc& b) { return a.index < b.index; });
+    double objective = 0.0;
+    for (const Arc& arc : real_arcs)
+      if (arc.flow > 0) objective += arc.flow * problem.cost[arc.index];
+    result.objective = objective;
+    result.cells = std::move(real_arcs);
+    const std::vector<double>& pot = simplex.potentials();
+    result.potentials.assign(pot.begin(), pot.begin() + m);
+    result.potentials.insert(result.potentials.end(), pot.begin() + bal.m, pot.end());
+    if (basis != nullptr) {
+      basis->valid = true;
+      basis->m = bal.m;
+      basis->n = bal.n;
+      basis->supply = std::move(bal.supply);
+      basis->demand = std::move(bal.demand);
+      basis->cells = simplex.arcs();
+    }
+    return true;
+  };
+  // A solve still pivoting at 2(m+n) may be short of supply, which big-M
+  // noise can keep pivoting until the whole budget is spent (DESIGN.md §13).
+  // Only a forbidden cell can make it short, so only then is it probed, and
+  // outside the simplex: the probe solves on this thread's grid and lists.
+  // A solve that can ship starts over with the full budget; from the same
+  // start it retraces the same pivots.
+  if (!attempt(probe_at)) {
+    util::Timer probe_timer;
+    const bool short_of_supply =
+        std::find(problem.cost.begin(), problem.cost.end(), kInfinity) !=
+            problem.cost.end() &&
+        shortfall(problem, total_supply);
+    pivot_seconds += probe_timer.seconds();
+    if (short_of_supply) {
+      if (basis != nullptr) basis->valid = false;
+      result.status = Status::kInfeasible;
+    } else {
+      attempt(max_iterations);
+    }
   }
-  std::sort(real_arcs.begin(), real_arcs.end(),
-            [](const Arc& a, const Arc& b) { return a.index < b.index; });
-  double objective = 0.0;
-  for (const Arc& arc : real_arcs)
-    if (arc.flow > 0) objective += arc.flow * problem.cost[arc.index];
-  result.objective = objective;
-  result.cells = std::move(real_arcs);
-  result.status = Status::kOptimal;
-  if (basis != nullptr) {
-    basis->valid = true;
-    basis->m = bal.m;
-    basis->n = bal.n;
-    basis->supply = std::move(bal.supply);
-    basis->demand = std::move(bal.demand);
-    basis->cells = simplex.arcs();
+  if (record) {
+    SolveMetrics& metrics = SolveMetrics::get();
+    metrics.start_ms.observe(start_seconds * 1e3);
+    metrics.pivot_ms.observe(pivot_seconds * 1e3);
+    metrics.pivots.observe(static_cast<double>(result.iterations));
+    if (bland) metrics.bland_fallbacks.inc();
   }
   return result;
+}
+
+// The explicitly balanced (m+1) x (n+1) grid of a partial solve: the real
+// rows, then a slack row whose supply is the total capacity; the real
+// columns, then an "unshipped" column whose capacity is the total supply.
+// Phase 1's costs: w_i on row i's unshipped cell, 0 on allowed real cells
+// and the slack row, and the finite 1 + max w on forbidden cells. A unit on
+// a forbidden cell always does better shipped to "unshipped" (the slack
+// row's unit there moves to the cell's column), so no optimum uses one, and
+// no big-M enters the potentials.
+TransportationProblem partial_grid(const TransportationProblem& problem,
+                                   std::span<const double> row_weight) {
+  const std::size_t m = problem.sources();
+  const std::size_t n = problem.destinations();
+  TransportationProblem grid;
+  grid.supply = problem.supply;
+  grid.supply.push_back(
+      std::accumulate(problem.capacity.begin(), problem.capacity.end(), 0.0));
+  grid.capacity = problem.capacity;
+  grid.capacity.push_back(
+      std::accumulate(problem.supply.begin(), problem.supply.end(), 0.0));
+  grid.cost.assign((m + 1) * (n + 1), 0.0);
+  const double forbidden =
+      1.0 + *std::max_element(row_weight.begin(), row_weight.end());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j)
+      if (problem.cost[i * n + j] == kInfinity) grid.cost[i * (n + 1) + j] = forbidden;
+    grid.cost[i * (n + 1) + n] = row_weight[i];
+  }
+  return grid;
+}
+
+// Phase 1 with unit weights ships the most the allowed cells carry (a max
+// flow); the supply is short when the unshipped remainder, phase 1's
+// objective, exceeds the tolerance.
+bool shortfall(const TransportationProblem& problem, double total_supply) {
+  const std::vector<double> unit(problem.sources(), 1.0);
+  const TransportationResult ship =
+      solve_impl(partial_grid(problem, unit), nullptr, nullptr, false);
+  return ship.optimal() && ship.objective > kEps * (1.0 + total_supply);
 }
 
 }  // namespace
@@ -599,33 +658,79 @@ std::vector<std::uint32_t> least_cost_order(
 TransportationResult solve_transportation(
     const TransportationProblem& problem,
     const std::vector<TransportationCell>* warm) {
-  return solve_impl(problem, warm, nullptr);
+  return solve_impl(problem, warm, nullptr, true);
 }
 
 TransportationResult solve_transportation_dirty(
     const TransportationProblem& problem, TransportationBasis& basis,
     const std::vector<TransportationCell>* warm) {
-  return solve_impl(problem, warm, &basis);
+  return solve_impl(problem, warm, &basis, true);
 }
 
-LinearProgram to_linear_program(const TransportationProblem& problem) {
+TransportationResult solve_transportation_partial(
+    const TransportationProblem& problem, std::span<const double> row_weight) {
   const std::size_t m = problem.sources();
   const std::size_t n = problem.destinations();
-  LinearProgram lp;
-  for (double cost : problem.cost)  // forbidden cells are fixed at zero
-    lp.add_variable(0.0, cost == kInfinity ? 0.0 : kInfinity,
-                    cost == kInfinity ? 0.0 : cost);
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t j = 0; j < n; ++j) terms.emplace_back(i * n + j, 1.0);
-    lp.add_constraint(std::move(terms), Sense::kEqual, problem.supply[i]);
+  if (problem.cost.size() != m * n)
+    throw std::invalid_argument("solve_transportation_partial: cost size mismatch");
+  if (row_weight.size() != m)
+    throw std::invalid_argument("solve_transportation_partial: one weight per row");
+  for (double w : row_weight)
+    if (!(w > 0.0 && w < kInfinity))
+      throw std::invalid_argument(
+          "solve_transportation_partial: weights must be positive and finite");
+  if (m == 0) {
+    TransportationResult nothing;
+    nothing.status = Status::kOptimal;
+    return nothing;
   }
-  for (std::size_t j = 0; j < n; ++j) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t i = 0; i < m; ++i) terms.emplace_back(i * n + j, 1.0);
-    lp.add_constraint(std::move(terms), Sense::kLessEqual, problem.capacity[j]);
+  // Phase 1: the largest weighted shipment, Σ w_i·unshipped_i at its least.
+  TransportationProblem grid = partial_grid(problem, row_weight);
+  TransportationResult ship = solve_impl(grid, nullptr, nullptr, true);
+  if (!ship.optimal() || ship.potentials.empty()) {  // empty: nothing to ship
+    ship.potentials.clear();
+    return ship;
   }
-  return lp;
+  // Phase 2: by complementary slackness, the flows optimal in phase 1 are
+  // exactly the feasible ones on cells of zero reduced cost under any one
+  // optimal dual (u, v). Forbid the rest and take the cheapest such flow at
+  // the real cost. The unshipped column takes exactly Σ supply and the slack
+  // row ships exactly Σ capacity, so a constant on either moves every
+  // feasible objective alike: pricing both at 1 + max |c| instead of 0 lets
+  // the least-cost start fill the real cells cheapest first rather than
+  // send every row to "unshipped", a start a few pivots from the optimum.
+  double shift = 1.0;
+  for (double c : problem.cost)
+    if (c != kInfinity) shift = std::max(shift, 1.0 + std::abs(c));
+  const double* u = ship.potentials.data();
+  const double* v = u + (m + 1);
+  for (std::size_t i = 0; i <= m; ++i) {
+    for (std::size_t j = 0; j <= n; ++j) {
+      double& c = grid.cost[i * (n + 1) + j];
+      const double reduced = c - u[i] - v[j];
+      if (reduced > kEps * (1.0 + std::abs(c) + std::abs(u[i]) + std::abs(v[j])))
+        c = kInfinity;
+      else if (i < m && j < n)
+        c = problem.cost[i * n + j];
+      else
+        c = (i == m ? shift : 0.0) + (j == n ? shift : 0.0);
+    }
+  }
+  TransportationResult cheapest = solve_impl(grid, nullptr, nullptr, true);
+  cheapest.iterations += ship.iterations;
+  cheapest.potentials.clear();
+  // Keep the real cells, renumbered onto the m x n grid (order preserved),
+  // and sum the objective over them alone.
+  std::vector<TransportationCell> real;
+  double objective = 0.0;
+  for (const TransportationCell& c : cheapest.cells) {
+    if (c.index / (n + 1) == m || c.index % (n + 1) == n) continue;
+    real.push_back({c.index / (n + 1) * n + c.index % (n + 1), c.flow});
+    if (c.flow > 0) objective += c.flow * problem.cost[real.back().index];
+  }
+  cheapest.cells = std::move(real);
+  cheapest.objective = objective;
+  return cheapest;
 }
 
 }  // namespace dust::solver

@@ -5,14 +5,14 @@
 // hint it sorts only the warm cells and then the real cells still open. A
 // pivot re-derives potentials only for the subtree it moved, and block
 // search prices about sqrt(mn) cells from where the last search stopped.
-// One branch-free scan validates the costs, finds big-M and fills the price
-// grid; the optimum comes back as the real rows' basic cells.
+// One branch-free scan validates the costs and finds big-M; the optimum
+// comes back as the real rows' basic cells and the optimal potentials.
 //
 // Once Trmin(i,j) is known, DUST's placement LP (Eq. 3) *is* a transportation
 // problem: supplies Cs_i that must ship fully, destination capacities Cd_j,
-// unit costs Trmin(i,j). This solver exploits that structure and is typically
-// orders of magnitude faster than the general simplex; both produce identical
-// optima (cross-checked in tests and bench_abl_solvers).
+// unit costs Trmin(i,j). This solver is the engine's default backend, for
+// exact and partial solves; the general simplex in dust::check
+// (check/simplex.hpp) solves the same model as an LP to cross-check it.
 //
 // Forbidden cells (no path within max-hop) carry cost = kInfinity; they are
 // handled via big-M internally and reported as infeasible if the optimum
@@ -23,9 +23,12 @@
 // basis), dust_solver_pivot_ms (the pivot loop) and dust_solver_pivots;
 // dust_solver_bland_fallbacks_total counts solves that fell back to Bland.
 //
-// A solve still pivoting at 2(m+n) is checked once for plain feasibility (a
-// max flow over the allowed cells) and reports kInfeasible if the supply
-// cannot ship at all, or kIterationLimit if it then spends its pivot budget.
+// A solve still pivoting at 2(m+n) on a problem with a forbidden cell is
+// checked once for plain feasibility: phase 1 of a partial solve with unit
+// weights, the largest shipment over the allowed cells. It reports
+// kInfeasible if the supply cannot ship at all; otherwise the solve starts
+// over from the same start with its full budget, retracing the same pivots,
+// and reports kIterationLimit if it spends that budget.
 // Each calling thread keeps its largest cost grid so far, reusing it.
 #pragma once
 
@@ -34,7 +37,7 @@
 #include <span>
 #include <vector>
 
-#include "solver/lp.hpp"
+#include "solver/status.hpp"
 
 namespace dust::solver {
 
@@ -61,6 +64,11 @@ struct TransportationResult {
   /// The optimum: the real rows' basic cells in index order (some may carry
   /// zero flow); every other cell carries none. Empty unless optimal.
   std::vector<TransportationCell> cells;
+  /// The optimal potentials: u_i for the m rows, then v_j at m + j for the
+  /// n columns, with c_ij - u_i - v_j zero on basic cells and (to the pivot
+  /// tolerance) non-negative elsewhere, forbidden cells priced at big-M.
+  /// Empty unless optimal, and when nothing ships (no simplex ran).
+  std::vector<double> potentials;
   std::size_t iterations = 0;
   /// True when the solve re-optimized from a retained basis (dirty-basis
   /// path) instead of building an initial solution from scratch.
@@ -118,8 +126,17 @@ std::vector<std::uint32_t> least_cost_order(
     std::span<const double> cost,
     const std::vector<std::uint32_t>* cells = nullptr);
 
-/// Express the same problem as a LinearProgram (variables row-major x_ij)
-/// for cross-checking against the general solvers.
-LinearProgram to_linear_program(const TransportationProblem& problem);
+/// Partial offload (DESIGN.md §13): among the shipments the allowed cells
+/// and capacities admit, the cheapest of those that maximise
+/// sum_i row_weight[i] * shipped_i, where shipped_i <= supply_i need not be
+/// the full supply. Two solves of one explicitly balanced (m+1) x (n+1)
+/// grid, a slack row and an "unshipped" column added: phase 1 maximises the
+/// weighted shipment, phase 2 minimises cost over the cells phase 1's
+/// optimal potentials leave at zero reduced cost. `row_weight` holds m
+/// positive weights. The result's cells, objective and status read as
+/// solve_transportation's (a kOptimal result may ship less than the supply);
+/// `iterations` counts both phases' pivots and `potentials` stays empty.
+TransportationResult solve_transportation_partial(
+    const TransportationProblem& problem, std::span<const double> row_weight);
 
 }  // namespace dust::solver

@@ -6,10 +6,10 @@
 #include <cmath>
 #include <cstring>
 
+#include "check/simplex.hpp"
 #include "core/optimizer.hpp"
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
-#include "solver/simplex.hpp"
 #include "util/rng.hpp"
 
 namespace dust::core {
@@ -194,12 +194,12 @@ PlacementProblem random_heterogeneous_problem(util::Rng& rng) {
 /// The model as the paper states it, in x-space: Σ_j x_ij = Cs_i (≤ for a
 /// partial solve), Σ_i (f_i/g_j)·x_ij ≤ Cd_j, minimise Σ Trmin_ij·x_ij (or
 /// maximise the shipment Σ x_ij).
-solver::LinearProgram x_space_lp(const PlacementProblem& p,
-                                 solver::Sense supply = solver::Sense::kEqual,
-                                 bool maximize_shipment = false) {
+check::LinearProgram x_space_lp(const PlacementProblem& p,
+                                check::Sense supply = check::Sense::kEqual,
+                                bool maximize_shipment = false) {
   const std::size_t m = p.busy.size();
   const std::size_t n = p.candidates.size();
-  solver::LinearProgram lp;
+  check::LinearProgram lp;
   for (double cost : p.trmin) {
     if (cost == solver::kInfinity)
       lp.add_variable(0.0, 0.0, 0.0);
@@ -215,7 +215,7 @@ solver::LinearProgram x_space_lp(const PlacementProblem& p,
     std::vector<std::pair<std::size_t, double>> terms;
     for (std::size_t bi = 0; bi < m; ++bi)
       terms.emplace_back(bi * n + cj, p.capacity_coefficient(bi, cj));
-    lp.add_constraint(std::move(terms), solver::Sense::kLessEqual, p.cd[cj]);
+    lp.add_constraint(std::move(terms), check::Sense::kLessEqual, p.cd[cj]);
   }
   return lp;
 }
@@ -228,7 +228,7 @@ TEST(HeterogeneityDifferential, EngineMatchesXSpaceSimplex) {
   std::size_t feasible = 0, infeasible = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const PlacementProblem p = random_heterogeneous_problem(rng);
-    const solver::Solution reference = solver::solve_simplex(x_space_lp(p));
+    const check::Solution reference = check::solve_simplex(x_space_lp(p));
     ASSERT_NE(reference.status, solver::Status::kIterationLimit);
     (reference.optimal() ? feasible : infeasible) += 1;
     for (SolverBackend backend :
@@ -251,8 +251,9 @@ TEST(HeterogeneityDifferential, EngineMatchesXSpaceSimplex) {
   EXPECT_GE(infeasible, 50u);
 }
 
-// Partial mode on infeasible instances: the engine's two-phase simplex over
-// the rescaled form ships what the x-space two-phase LP ships, at its cost.
+// Partial mode on infeasible instances: the engine's two transportation
+// solves over the rescaled form ship what the x-space two-phase LP ships, at
+// its cost.
 TEST(HeterogeneityDifferential, PartialMatchesXSpaceTwoPhase) {
   util::Rng rng(0x9A27);
   std::size_t checked = 0;
@@ -261,18 +262,18 @@ TEST(HeterogeneityDifferential, PartialMatchesXSpaceTwoPhase) {
   const OptimizationEngine engine(options);
   for (int trial = 0; trial < 200; ++trial) {
     const PlacementProblem p = random_heterogeneous_problem(rng);
-    if (solver::solve_simplex(x_space_lp(p)).optimal()) continue;
-    const solver::Solution ship = solver::solve_simplex(
-        x_space_lp(p, solver::Sense::kLessEqual, /*maximize_shipment=*/true));
+    if (check::solve_simplex(x_space_lp(p)).optimal()) continue;
+    const check::Solution ship = check::solve_simplex(
+        x_space_lp(p, check::Sense::kLessEqual, /*maximize_shipment=*/true));
     ASSERT_TRUE(ship.optimal()) << "trial " << trial;
     const double shipped = -ship.objective;
-    solver::LinearProgram min_cost = x_space_lp(p, solver::Sense::kLessEqual);
+    check::LinearProgram min_cost = x_space_lp(p, check::Sense::kLessEqual);
     std::vector<std::pair<std::size_t, double>> all;
     for (std::size_t cell = 0; cell < p.trmin.size(); ++cell)
       all.emplace_back(cell, 1.0);
-    min_cost.add_constraint(std::move(all), solver::Sense::kGreaterEqual,
+    min_cost.add_constraint(std::move(all), check::Sense::kGreaterEqual,
                             shipped * (1.0 - 1e-9) - 1e-9);
-    const solver::Solution reference = solver::solve_simplex(min_cost);
+    const check::Solution reference = check::solve_simplex(min_cost);
     ASSERT_TRUE(reference.optimal()) << "trial " << trial;
 
     const PlacementResult r = engine.solve(p);

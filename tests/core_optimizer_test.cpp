@@ -3,15 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
+#include "check/simplex.hpp"
 #include "core/heuristic.hpp"
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
-#include "solver/min_cost_flow.hpp"
-#include "solver/simplex.hpp"
 #include "solver_dense_flow.hpp"
+#include "util/rng.hpp"
 
 namespace dust::core {
 namespace {
@@ -66,7 +67,7 @@ TEST(Optimizer, PartialModeShipsWhatFits) {
 
 // An infeasible exact solve that falls back to the partial solver costs
 // both attempts; the cycle's iterations and time must include the failed
-// exact pivots, not only the min-cost-flow augmentations.
+// exact pivots, not only the partial solve's two phases.
 TEST(Optimizer, PartialFallbackCountsTheFailedExactAttempt) {
   PlacementProblem p;
   p.busy = {0, 1, 2};
@@ -84,25 +85,79 @@ TEST(Optimizer, PartialFallbackCountsTheFailedExactAttempt) {
   ASSERT_EQ(exact.status, solver::Status::kInfeasible);
   ASSERT_GT(exact.solver_iterations, 0u);
 
-  // The partial solve's min-cost max-flow, built as the engine builds it.
-  const std::size_t m = p.busy.size(), n = p.candidates.size();
-  solver::MinCostFlow mcf(m + n + 2);
-  for (std::size_t bi = 0; bi < m; ++bi) mcf.add_arc(m + n, bi, p.cs[bi], 0.0);
-  for (std::size_t bi = 0; bi < m; ++bi)
-    for (std::size_t cj = 0; cj < n; ++cj)
-      if (p.trmin[bi * n + cj] != inf)
-        mcf.add_arc(bi, m + cj, inf, p.trmin[bi * n + cj]);
-  for (std::size_t cj = 0; cj < n; ++cj)
-    mcf.add_arc(m + cj, m + n + 1, p.cd[cj], 0.0);
-  const std::size_t augmentations = mcf.solve(m + n, m + n + 1).augmentations;
+  // The partial solve's two phases, run as the engine runs them.
+  const std::vector<double> unit(p.busy.size(), 1.0);
+  const solver::TransportationResult partial =
+      solver::solve_transportation_partial(to_transportation(p), unit);
+  ASSERT_TRUE(partial.optimal());
 
   OptimizerOptions options;
   options.allow_partial = true;
   const PlacementResult r = OptimizationEngine(options).solve(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.unplaced, 4.0, 1e-9);
-  EXPECT_EQ(r.solver_iterations, exact.solver_iterations + augmentations);
+  EXPECT_EQ(r.solver_iterations, exact.solver_iterations + partial.iterations);
   EXPECT_GT(r.solve_seconds, 0.0);
+}
+
+// A homogeneous problem whose total excess exceeds the spare capacity by a
+// random margin, with `forbidden` of its cells out of range and costs drawn
+// from three values when `ties` (many alternative optima).
+PlacementProblem short_homogeneous_problem(util::Rng& rng, std::size_t m,
+                                           std::size_t n, double forbidden,
+                                           bool ties) {
+  PlacementProblem p;
+  double total = 0.0;
+  for (std::size_t bi = 0; bi < m; ++bi) {
+    p.busy.push_back(static_cast<graph::NodeId>(bi));
+    p.cs.push_back(ties ? static_cast<double>(1 + rng.below(6)) : rng.uniform(0.5, 20.0));
+    total += p.cs.back();
+  }
+  const double spare = rng.uniform(0.3, 1.1) * total;
+  for (std::size_t cj = 0; cj < n; ++cj) {
+    p.candidates.push_back(static_cast<graph::NodeId>(m + cj));
+    p.cd.push_back(rng.uniform(0.2, 1.8) * spare / static_cast<double>(n));
+  }
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    p.trmin.push_back(rng.bernoulli(forbidden) ? solver::kInfinity
+                      : ties ? static_cast<double>(1 + rng.below(3)) * 1e-2
+                             : rng.uniform(1e-3, 0.1));
+  return p;
+}
+
+// Differential: on infeasible homogeneous problems the default backend's
+// partial solve (two transportation solves) and kMinCostFlow's (successive
+// shortest paths) are independent engines; they must agree on the status,
+// the objective and what is left unplaced, over forbidden cells, tie-heavy
+// costs and shapes up to 71x178.
+TEST(PartialDifferential, TransportationMatchesMinCostFlow) {
+  util::Rng rng(0x5A27);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {2, 3}, {5, 4}, {7, 12}, {16, 9}, {20, 40}, {71, 178}};
+  const auto agree = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
+  };
+  std::size_t partial = 0;
+  for (int trial = 0; trial < 140; ++trial) {
+    const auto [m, n] = shapes[trial % 7];
+    const double forbidden = std::array{0.0, 0.3, 0.7, 0.95}[trial / 7 % 4];
+    const PlacementProblem p =
+        short_homogeneous_problem(rng, m, n, forbidden, trial / 28 % 2 == 1);
+    OptimizerOptions options;
+    options.allow_partial = true;
+    const PlacementResult r = OptimizationEngine(options).solve(p);
+    options.backend = SolverBackend::kMinCostFlow;
+    const PlacementResult reference = OptimizationEngine(options).solve(p);
+    ASSERT_EQ(r.status, reference.status) << "trial " << trial;
+    EXPECT_TRUE(agree(r.objective, reference.objective))
+        << "trial " << trial << ": " << r.objective << " vs "
+        << reference.objective;
+    EXPECT_TRUE(agree(r.unplaced, reference.unplaced))
+        << "trial " << trial << ": " << r.unplaced << " vs " << reference.unplaced;
+    EXPECT_LT(placement_violation(p, r), 1e-6) << "trial " << trial;
+    partial += r.unplaced > 0.0 ? 1 : 0;
+  }
+  EXPECT_GE(partial, 100u);
 }
 
 TEST(Optimizer, MaxHopUnreachabilityCausesInfeasible) {
@@ -135,8 +190,8 @@ TEST_P(BackendAgreementSweep, AllBackendsAgreeAndFeasible) {
   const PlacementProblem problem = build_placement_problem(nmdb, placement);
   if (problem.total_excess() > problem.total_spare()) GTEST_SKIP();
 
-  const solver::Solution simplex =
-      solver::solve_simplex(solver::to_linear_program(to_transportation(problem)));
+  const check::Solution simplex =
+      check::solve_simplex(check::to_linear_program(to_transportation(problem)));
   ASSERT_TRUE(simplex.optimal());
   const double reference = simplex.objective;
   for (SolverBackend backend :

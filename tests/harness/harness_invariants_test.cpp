@@ -9,7 +9,7 @@
 #include <algorithm>
 
 #include "graph/topology.hpp"
-#include "solver/lp.hpp"
+#include "solver/status.hpp"
 
 namespace dust::check {
 namespace {

@@ -1,4 +1,4 @@
-#include "solver/simplex.hpp"
+#include "check/simplex.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,8 @@
 
 namespace dust::solver {
 namespace {
+
+using namespace dust::check;
 
 TEST(Simplex, TrivialTwoVariable) {
   // min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2, x,y >= 0 → (2, 2), obj -6.

@@ -2,13 +2,15 @@
 // examples, larger random cross-validation, and scaling pathologies.
 #include <gtest/gtest.h>
 
-#include "solver/simplex.hpp"
+#include "check/simplex.hpp"
 #include "solver/transportation.hpp"
 #include "solver_dense_flow.hpp"
 #include "util/rng.hpp"
 
 namespace dust::solver {
 namespace {
+
+using namespace dust::check;
 
 TEST(SimplexStress, BealesCyclingExample) {
   // Beale (1955): cycles forever under naive Dantzig pivoting without

@@ -186,6 +186,27 @@ TEST(TransportationPivotBound, InfeasibleBigMInstancesStopEarly) {
 // Edge shapes: a single row or a single column, and narrow grids whose
 // width leaves odd tails in a row pass. With n <= 3 many rows end up with
 // every cell basic, so their pricing rows hold no candidate at all.
+// Feasible solves still pivoting at 2(m+n) on grids with forbidden cells:
+// the probe runs, finds that the supply can ship, and the solve starts over
+// from the same start with its full budget. Retracing the same pivots, it
+// ends with the cells, objective and pivot count of one uninterrupted
+// solve; the digest was recorded when the solve still resumed in place
+// after a min-cost-flow probe.
+TEST(TransportationDigest, ProbedFeasibleSolvesRetrace) {
+  Digest d;
+  for (const std::uint64_t seed : {23, 96, 358, 374, 497}) {
+    const TransportationProblem p = families::cycling_instance(seed, false);
+    const TransportationResult r = solve_transportation(p);
+    const bool slack_row = families::sum(p.capacity) > families::sum(p.supply) + 1e-9;
+    ASSERT_TRUE(r.optimal()) << "seed " << seed;
+    EXPECT_GT(r.iterations,
+              2 * (p.sources() + (slack_row ? 1 : 0) + p.destinations()))
+        << "seed " << seed;
+    d.add(r);
+  }
+  expect_digest(d, "e30ac872ac2248b4");
+}
+
 TEST(TransportationDigest, EdgeShapes) {
   expect_digest(digest_of(families::edge_shapes), "fd0483cbe7101a4c");
 }

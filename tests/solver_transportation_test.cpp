@@ -9,13 +9,16 @@
 #include <string>
 #include <utility>
 
+#include "check/simplex.hpp"
 #include "obs/metrics.hpp"
-#include "solver/simplex.hpp"
+#include "solver/min_cost_flow.hpp"
 #include "solver_dense_flow.hpp"
 #include "util/rng.hpp"
 
 namespace dust::solver {
 namespace {
+
+using namespace dust::check;
 
 double row_sum(const std::vector<double>& flow, std::size_t i, std::size_t n) {
   double s = 0;
@@ -218,7 +221,9 @@ TEST(Transportation, AllForbiddenRowPinsBigM) {
   ASSERT_EQ(s.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, s.objective, 1e-6);
   for (const TransportationCell& c : r.cells) {
-    if (c.index < 3) EXPECT_EQ(c.flow, 0.0);  // row 0 ships nothing
+    if (c.index < 3) {
+      EXPECT_EQ(c.flow, 0.0);  // row 0 ships nothing
+    }
   }
   p.supply[0] = 1.0;
   p.capacity[2] += 1.0;
@@ -397,6 +402,140 @@ TEST(Transportation, IterationLimitOnShortfallIsInfeasible) {
   // 2 * (m + n) over 26 balanced rows, not the whole 100 * (m + n)^2 + 1000
   // budget: the verdict comes from the probe, not from the simplex.
   EXPECT_EQ(r.iterations, 2u * 52);
+}
+
+// The largest shipment over the allowed cells, as a plain max flow:
+// source -> row i (supply) -> allowed cell -> column j (capacity) -> sink.
+double max_flow(const TransportationProblem& p) {
+  const std::size_t m = p.sources(), n = p.destinations();
+  MinCostFlow flow(m + n + 2);
+  for (std::size_t i = 0; i < m; ++i) flow.add_arc(m + n, i, p.supply[i], 0.0);
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    if (p.cost[cell] != kInfinity)
+      flow.add_arc(cell / n, m + cell % n, kInfinity, 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    flow.add_arc(m + j, m + n + 1, p.capacity[j], 0.0);
+  return flow.solve(m + n, m + n + 1).max_flow;
+}
+
+// Row and column sums of a partial optimum stay within supply and capacity,
+// and no flow uses a forbidden cell.
+void expect_partial_feasible(const TransportationProblem& p,
+                             const TransportationResult& r) {
+  const std::size_t m = p.sources(), n = p.destinations();
+  const std::vector<double> flow = dense_flow(r, m * n);
+  for (std::size_t i = 0; i < m; ++i)
+    EXPECT_LE(row_sum(flow, i, n), p.supply[i] + 1e-7);
+  for (std::size_t j = 0; j < n; ++j)
+    EXPECT_LE(col_sum(flow, j, m, n), p.capacity[j] + 1e-7);
+  for (std::size_t cell = 0; cell < m * n; ++cell) {
+    if (p.cost[cell] == kInfinity) {
+      EXPECT_EQ(flow[cell], 0.0);
+    }
+  }
+}
+
+// With unit weights the partial solve's phase 1 is a max flow over the
+// allowed cells (the infeasibility probe's question): it ships what
+// MinCostFlow's max flow ships, on grids up to 71x178 with 0-99% of the
+// cells forbidden, where 95-99% leaves long chains of single routes.
+TEST(TransportationPartial, UnitWeightsShipTheMaxFlow) {
+  util::Rng rng(2311);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {3, 5}, {8, 4}, {25, 26}, {40, 90}, {71, 178}};
+  const std::vector<double> forbidden = {0.0, 0.5, 0.8, 0.95, 0.99};
+  for (const auto& [m, n] : shapes) {
+    for (const double share : forbidden) {
+      TransportationProblem p;
+      for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(0.5, 20.0));
+      const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+      for (std::size_t j = 0; j < n; ++j)
+        p.capacity.push_back(rng.uniform(0.2, 1.6) * total / static_cast<double>(n));
+      for (std::size_t c = 0; c < m * n; ++c)
+        p.cost.push_back(rng.bernoulli(share) ? kInfinity : rng.uniform(0.1, 10.0));
+      const std::vector<double> unit(m, 1.0);
+      const TransportationResult r = solve_transportation_partial(p, unit);
+      ASSERT_TRUE(r.optimal()) << m << 'x' << n << " share " << share;
+      double shipped = 0.0;
+      for (const TransportationCell& c : r.cells) shipped += c.flow;
+      const double reference = max_flow(p);
+      EXPECT_NEAR(shipped, reference, 1e-9 * (1.0 + reference))
+          << m << 'x' << n << " share " << share;
+      expect_partial_feasible(p, r);
+      // The exact solve's verdict is the same question.
+      EXPECT_EQ(solve_transportation(p).optimal(),
+                reference + 1e-9 * (1.0 + total) >= total)
+          << m << 'x' << n << " share " << share;
+    }
+  }
+}
+
+// Weights pick which rows ship: one column of capacity 4 reachable from two
+// rows of supply 3. Weighted 1 and 2, the second row ships all it has and
+// the first the rest, whatever the costs say; among shipments of equal
+// weight the cheaper one wins.
+TEST(TransportationPartial, WeightsThenCost) {
+  TransportationProblem p;
+  p.supply = {3.0, 3.0};
+  p.capacity = {4.0};
+  p.cost = {1.0, 5.0};
+  const std::vector<double> heavy_second = {1.0, 2.0};
+  TransportationResult r = solve_transportation_partial(p, heavy_second);
+  ASSERT_TRUE(r.optimal());
+  std::vector<double> flow = dense_flow(r, 2);
+  EXPECT_NEAR(flow[0], 1.0, 1e-12);
+  EXPECT_NEAR(flow[1], 3.0, 1e-12);
+  EXPECT_NEAR(r.objective, 16.0, 1e-12);
+  const std::vector<double> equal = {1.0, 1.0};
+  r = solve_transportation_partial(p, equal);
+  ASSERT_TRUE(r.optimal());
+  flow = dense_flow(r, 2);
+  EXPECT_NEAR(flow[0], 3.0, 1e-12);
+  EXPECT_NEAR(flow[1], 1.0, 1e-12);
+  EXPECT_NEAR(r.objective, 8.0, 1e-12);
+}
+
+// A feasible problem ships in full at the exact solve's optimum; an empty
+// one ships nothing; bad weights are rejected.
+TEST(TransportationPartial, FeasibleEmptyAndInvalid) {
+  TransportationProblem p;
+  p.supply = {300, 400, 500};
+  p.capacity = {250, 350, 600};
+  p.cost = {3, 1, 7, 2, 6, 5, 8, 3, 3};
+  const std::vector<double> unit(3, 1.0);
+  const TransportationResult partial = solve_transportation_partial(p, unit);
+  ASSERT_TRUE(partial.optimal());
+  EXPECT_NEAR(partial.objective, solve_transportation(p).objective, 1e-9);
+  EXPECT_TRUE(partial.potentials.empty());
+  EXPECT_TRUE(solve_transportation_partial(TransportationProblem{}, {}).optimal());
+  const std::vector<double> zero = {1.0, 0.0, 1.0};
+  EXPECT_THROW((void)solve_transportation_partial(p, zero), std::invalid_argument);
+  EXPECT_THROW((void)solve_transportation_partial(p, {unit.data(), 2}),
+               std::invalid_argument);
+}
+
+// The optimal potentials price every basic cell at zero reduced cost and
+// no allowed cell below the pivot tolerance; a slack row's potential is
+// left out.
+TEST(Transportation, PotentialsAreOptimalDuals) {
+  util::Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t m = 2 + rng.below(8), n = 2 + rng.below(8);
+    TransportationProblem p;
+    for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(1.0, 10.0));
+    const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+    for (std::size_t j = 0; j < n; ++j)
+      p.capacity.push_back(rng.uniform(1.2, 2.0) * total / static_cast<double>(n));
+    for (std::size_t c = 0; c < m * n; ++c) p.cost.push_back(rng.uniform(0.1, 5.0));
+    const TransportationResult r = solve_transportation(p);
+    ASSERT_TRUE(r.optimal());
+    ASSERT_EQ(r.potentials.size(), m + n);
+    const auto reduced = [&](std::size_t cell) {
+      return p.cost[cell] - r.potentials[cell / n] - r.potentials[m + cell % n];
+    };
+    for (const TransportationCell& c : r.cells) EXPECT_NEAR(reduced(c.index), 0.0, 1e-9);
+    for (std::size_t cell = 0; cell < m * n; ++cell) EXPECT_GE(reduced(cell), -1e-9);
+  }
 }
 
 class TransportationRandomSweep
