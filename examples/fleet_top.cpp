@@ -5,7 +5,7 @@
 // MetricRegistry through a wire::ObsResponder and churn synthetic metrics
 // each round; node-idle serves a registry that never changes, so every
 // scrape of it exercises the hot-tick clean path (no frame, no allocation).
-// The hub runs the same ObsScraper + obs::Aggregator + obs::FleetWatchdog
+// The hub runs the same ObsScraper + obs::Aggregator + obs::Watchdog
 // stack manager_daemon runs, merges its own registry as node "hub", and
 // renders the fleet-top dashboard.
 //
@@ -56,6 +56,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "obs/watchdog.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "wire/obs_scrape.hpp"
@@ -98,7 +99,7 @@ int run_multi_hub(
     links.push_back(HubLink{shard, std::move(leaf), std::move(scraper)});
   }
 
-  obs::FleetWatchdog fleet_dog;
+  obs::Watchdog fleet_dog;
   const bool live_redraw = watch && isatty(1) != 0;
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t alerts = 0;
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
 
   obs::Aggregator aggregator;
   wire::ObsScraper scraper(hub, aggregator, "dust-obs-scraper");
-  obs::FleetWatchdog fleet_dog;
+  obs::Watchdog fleet_dog;
 
   // Drain until several consecutive idle passes: poll_once counts local
   // deliveries only, so a pass that just flushed reply bytes into a socket

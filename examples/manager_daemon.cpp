@@ -19,14 +19,16 @@
 //   FINAL_ASSIGN <busy> <dest> <amount-hex>
 //   OBS nodes=<n> applied=<n> rejected=<n> spans=<n>   fleet scrape summary
 //   OBS_NODE <name> seq=<n> bytes=<n>      one per scraped node
-//   OBS_ALERT rule=<rule> node=<name>      one per fleet watchdog alert
+//   OBS_ALERT rule=<rule> node=<name>      one per watchdog alert on the
+//                                          fleet view (node empty unless
+//                                          the rule is node-silent)
 //   OBS_STITCHED trace=<id> processes=<n>  best cross-process trace
 //
 // With --obs-scrape-ms > 0 (default 500) the manager becomes the fleet
 // observability plane (DESIGN.md §15): it discovers every "dust-obs-*"
 // responder on the hub, pulls delta snapshots on that cadence, merges them
 // (plus its own registry, as node "manager") into an obs::Aggregator, and
-// runs the fleet watchdog over the merged view. --obs-export writes the
+// runs obs::Watchdog's rules over the merged view. --obs-export writes the
 // fleet Prometheus text (node-labelled series); --obs-trace-out writes the
 // stitched cross-process Perfetto trace.
 //
@@ -48,6 +50,7 @@
 #include "obs/aggregator.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "obs/watchdog.hpp"
 #include "util/log.hpp"
 #include "obs/metrics.hpp"
 #include "wire/demo_scenario.hpp"
@@ -133,10 +136,10 @@ int main(int argc, char** argv) {
 
   // Fleet observability plane: scrape every dust-obs-* responder announced
   // on the hub, merge the deltas (plus this process's own registry, as node
-  // "manager"), and run fleet watchdog rules over the merged view.
+  // "manager"), and run the watchdog's rules over the merged view.
   obs::Aggregator aggregator;
   wire::ObsScraper scraper(transport, aggregator, "dust-obs-scraper");
-  obs::FleetWatchdog fleet_dog;
+  obs::Watchdog fleet_dog;
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto wall_ms = [&t0] {
@@ -154,7 +157,7 @@ int main(int argc, char** argv) {
       const std::int64_t now = wall_ms();
       aggregator.ingest_local("manager", obs::MetricRegistry::global(), now);
       scraper.scrape(now);
-      for (const obs::FleetAlert& alert : fleet_dog.evaluate(aggregator, now))
+      for (const obs::Alert& alert : fleet_dog.evaluate(aggregator, now))
         std::cout << "OBS_ALERT rule=" << alert.rule << " node=" << alert.node
                   << "\n"
                   << std::flush;

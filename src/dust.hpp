@@ -26,15 +26,12 @@
 #include "solver/transportation.hpp"
 
 // net — dynamic network state and response-time evaluation (Eq. 1-2).
-#include "net/diagnosis.hpp"
 #include "net/network_state.hpp"
 #include "net/response_time.hpp"
 #include "net/traffic.hpp"
 
-// telemetry — agents, Gorilla TSDB, alerts, federation, packet parsing.
+// telemetry — agents, Gorilla TSDB, packet parsing, sampled-flow baseline.
 #include "telemetry/agent.hpp"
-#include "telemetry/alerts.hpp"
-#include "telemetry/federation.hpp"
 #include "telemetry/gorilla.hpp"
 #include "telemetry/metric.hpp"
 #include "telemetry/packet.hpp"
@@ -54,7 +51,6 @@
 #include "core/manager.hpp"
 #include "core/messages.hpp"
 #include "core/nmdb.hpp"
-#include "core/nms.hpp"
 #include "core/optimizer.hpp"
 #include "core/placement.hpp"
 #include "core/replay.hpp"

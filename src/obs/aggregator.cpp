@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -249,6 +250,29 @@ HistogramSnapshot Aggregator::fleet_histogram(const std::string& name) const {
   return out;
 }
 
+RegistrySnapshot Aggregator::fleet_snapshot() const {
+  std::set<std::string> counters;
+  std::set<std::string> gauges;
+  std::set<std::string> histograms;
+  for (const auto& [node, state] : nodes_) {
+    for (const auto& [name, value] : state.counters) counters.insert(name);
+    for (const auto& [name, value] : state.gauges) gauges.insert(name);
+    for (const auto& [name, hist] : state.histograms) histograms.insert(name);
+  }
+  RegistrySnapshot snap;
+  for (const std::string& name : counters)
+    snap.counters.push_back(CounterSnapshot{name, fleet_counter_total(name)});
+  for (const std::string& name : gauges)
+    snap.gauges.push_back(GaugeSnapshot{name, fleet_gauge_sum(name)});
+  for (const std::string& name : histograms) {
+    NamedHistogramSnapshot hist;
+    static_cast<HistogramSnapshot&>(hist) = fleet_histogram(name);
+    hist.name = name;
+    snap.histograms.push_back(std::move(hist));
+  }
+  return snap;
+}
+
 RegistrySnapshot Aggregator::trace_snapshot() const {
   RegistrySnapshot snap;
   snap.spans = spans_;
@@ -438,121 +462,6 @@ void Aggregator::write_top(std::ostream& os, std::int64_t now_ms,
     }
     hist_table.print(os);
   }
-}
-
-FleetWatchdog::FleetWatchdog(FleetWatchdogConfig config,
-                             MetricRegistry& registry)
-    : config_(std::move(config)),
-      registry_(&registry),
-      alerts_total_(&registry.counter("dust_obs_fleet_alerts_total")) {}
-
-void FleetWatchdog::raise(std::vector<FleetAlert>& out, std::string rule,
-                          std::string node, std::string message, double value,
-                          std::int64_t now_ms) {
-  alerts_total_->inc();
-  registry_->counter("dust_obs_fleet_alert_" + rule + "_total").inc();
-  ++alerts_raised_;
-  out.push_back(FleetAlert{std::move(rule), std::move(node),
-                           std::move(message), value, now_ms});
-}
-
-std::vector<FleetAlert> FleetWatchdog::evaluate(const Aggregator& aggregator,
-                                                std::int64_t now_ms) {
-  std::vector<FleetAlert> alerts;
-  if (!enabled()) return alerts;
-
-  // --- node-silent --------------------------------------------------------
-  if (config_.scrape_gap_ms > 0 && primed_) {
-    for (const std::string& node : aggregator.nodes()) {
-      const std::int64_t age = aggregator.staleness_ms(node, now_ms);
-      if (age > config_.scrape_gap_ms) {
-        std::ostringstream msg;
-        msg << "node '" << node << "' last snapshot " << age
-            << " ms ago (limit " << config_.scrape_gap_ms
-            << " ms) — scrapes are not coming back";
-        raise(alerts, "node-silent", node, msg.str(),
-              static_cast<double>(age), now_ms);
-      }
-    }
-  }
-
-  // --- fleet-undeclared-loss ---------------------------------------------
-  if (config_.check_undeclared_loss) {
-    const std::uint64_t undeclared = aggregator.fleet_counter_total(
-        "dust_dataplane_undeclared_gap_batches_total");
-    if (undeclared < undeclared_seen_) {
-      undeclared_seen_ = undeclared;  // a node's registry was reset
-    } else {
-      const std::uint64_t grew = undeclared - undeclared_seen_;
-      undeclared_seen_ = undeclared;
-      if (primed_ && grew > 0) {
-        std::ostringstream msg;
-        msg << grew << " undeclared gap batch(es) appeared fleet-wide — "
-            << "telemetry was lost without a degradation announcement";
-        raise(alerts, "fleet-undeclared-loss", "", msg.str(),
-              static_cast<double>(grew), now_ms);
-      }
-    }
-  }
-
-  // --- fleet-distrust-spike ----------------------------------------------
-  const double distrusted =
-      aggregator.fleet_gauge_sum("dust_core_distrusted_nodes");
-  if (primed_ && distrusted > config_.distrusted_nodes_limit) {
-    std::ostringstream msg;
-    msg << distrusted << " node(s) distrusted across the fleet (limit "
-        << config_.distrusted_nodes_limit << ")";
-    raise(alerts, "fleet-distrust-spike", "", msg.str(), distrusted, now_ms);
-  }
-
-  // --- fleet-tail-latency -------------------------------------------------
-  if (!config_.tail_histogram.empty() && config_.tail_limit_ms > 0.0) {
-    const HistogramSnapshot total =
-        aggregator.fleet_histogram(config_.tail_histogram);
-    if (total.count < tail_cursor_.count) {
-      tail_cursor_ = {};  // registry reset somewhere; resync below
-    }
-    // Windowed histogram: bucket deltas since the previous evaluation, so
-    // the quantile tracks *recent* tail latency, not the lifetime mix.
-    HistogramSnapshot window;
-    window.count = total.count - tail_cursor_.count;
-    window.sum = total.sum - tail_cursor_.sum;
-    // total.buckets is dense from index 0, so position == bucket index.
-    std::uint64_t totals[Histogram::kBuckets] = {};
-    for (std::size_t i = 0;
-         i < total.buckets.size() && i < Histogram::kBuckets; ++i)
-      totals[i] = total.buckets[i].count;
-    int last_nonzero = -1;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t delta = totals[i] - tail_cursor_.buckets[i];
-      if (delta > 0) last_nonzero = i;
-    }
-    window.min = 0.0;
-    window.max =
-        last_nonzero >= 0 ? Histogram::bucket_upper(last_nonzero) : 0.0;
-    for (int i = 0; i <= last_nonzero; ++i)
-      window.buckets.push_back(BucketSnapshot{
-          Histogram::bucket_upper(i), totals[i] - tail_cursor_.buckets[i]});
-    tail_cursor_.count = total.count;
-    tail_cursor_.sum = total.sum;
-    for (int i = 0; i < Histogram::kBuckets; ++i)
-      tail_cursor_.buckets[i] = totals[i];
-
-    if (primed_ && window.count >= config_.min_tail_samples) {
-      const double tail = window.quantile(config_.tail_quantile);
-      if (tail > config_.tail_limit_ms) {
-        std::ostringstream msg;
-        msg << config_.tail_histogram << " p"
-            << static_cast<int>(config_.tail_quantile * 100.0) << " = "
-            << tail << " ms exceeds " << config_.tail_limit_ms << " ms ("
-            << window.count << " samples in window)";
-        raise(alerts, "fleet-tail-latency", "", msg.str(), tail, now_ms);
-      }
-    }
-  }
-
-  primed_ = true;
-  return alerts;
 }
 
 }  // namespace dust::obs

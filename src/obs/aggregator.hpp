@@ -17,9 +17,9 @@
 //     the STAT→solve→offload→ACK→data-block chain across four daemons.
 //
 // The aggregator is transport-agnostic (it consumes decoded SnapshotDelta
-// values); wire::ObsScraper owns the frame plumbing. FleetWatchdog evaluates
-// fleet-level rules over the aggregated state the same way obs::Watchdog
-// evaluates per-process rules over one registry.
+// values); wire::ObsScraper owns the frame plumbing. obs::Watchdog runs its
+// rules over fleet_snapshot() the same way it runs them over one process's
+// registry, plus node-silent over staleness_ms().
 #pragma once
 
 #include <cstdint>
@@ -36,8 +36,8 @@
 
 namespace dust::obs {
 
-/// Per-node scrape bookkeeping, exposed to dashboards and the fleet
-/// watchdog's node-silent rule.
+/// Per-node scrape bookkeeping, exposed to dashboards and the watchdog's
+/// node-silent rule.
 struct FleetNodeStatus {
   std::uint64_t applied_seq = 0;    ///< last snapshot merged in
   std::int64_t last_update_ms = -1; ///< aggregator clock at that merge
@@ -77,7 +77,7 @@ class Aggregator {
   [[nodiscard]] std::int64_t staleness_ms(const std::string& node,
                                           std::int64_t now_ms) const;
 
-  // --- fleet queries (for FleetWatchdog and dashboards) -------------------
+  // --- fleet queries (for obs::Watchdog and dashboards) ------------------
   [[nodiscard]] std::uint64_t counter_value(const std::string& node,
                                             const std::string& name) const;
   [[nodiscard]] std::uint64_t fleet_counter_total(const std::string& name) const;
@@ -87,6 +87,10 @@ class Aggregator {
   [[nodiscard]] double fleet_gauge_max(const std::string& name) const;
   /// All nodes' buckets merged into one histogram (quantiles work on it).
   [[nodiscard]] HistogramSnapshot fleet_histogram(const std::string& name) const;
+  /// The fleet as one registry scrape: every counter at its
+  /// fleet_counter_total, every gauge at its fleet_gauge_sum, every
+  /// histogram as fleet_histogram (names sorted, no spans).
+  [[nodiscard]] RegistrySnapshot fleet_snapshot() const;
 
   // --- spans / trace stitching -------------------------------------------
   /// Snapshot holding every merged span (tracks "node/track", oldest first)
@@ -141,70 +145,6 @@ class Aggregator {
   };
   std::map<std::string, LocalFeed> local_feeds_;
   std::vector<std::uint8_t> local_buffer_;
-};
-
-/// Fleet-level health rules over an Aggregator, mirroring obs::Watchdog's
-/// window semantics (deltas between consecutive evaluate() calls; the first
-/// call only primes the cursors).
-struct FleetWatchdogConfig {
-  /// node-silent: alert when a node's last applied snapshot is older than
-  /// this (ms of aggregator clock). <= 0 disables the rule.
-  std::int64_t scrape_gap_ms = 2000;
-  /// fleet-undeclared-loss: alert when the fleet-wide undeclared-gap
-  /// counter grows inside a window — some node is silently losing data.
-  bool check_undeclared_loss = true;
-  /// fleet-distrust-spike: alert when the fleet sum of
-  /// dust_core_distrusted_nodes exceeds this.
-  double distrusted_nodes_limit = 0.0;
-  /// fleet-tail-latency: alert when the windowed `tail_quantile` of
-  /// `tail_histogram` (merged across nodes) exceeds `tail_limit_ms`.
-  /// Empty histogram name disables the rule.
-  std::string tail_histogram = "dust_core_placement_solve_ms";
-  double tail_quantile = 0.99;
-  double tail_limit_ms = 0.0;  ///< <= 0 disables
-  std::uint64_t min_tail_samples = 3;
-};
-
-struct FleetAlert {
-  std::string rule;  ///< "node-silent", "fleet-undeclared-loss", ...
-  std::string node;  ///< offending node, empty for fleet-wide rules
-  std::string message;
-  double value = 0.0;
-  std::int64_t now_ms = -1;
-};
-
-class FleetWatchdog {
- public:
-  explicit FleetWatchdog(FleetWatchdogConfig config = {},
-                         MetricRegistry& registry = MetricRegistry::global());
-
-  /// Evaluate every rule against the aggregator's current state. Alerts are
-  /// returned and tallied on dust_obs_fleet_alerts_total (+ per-rule
-  /// counters) in the local registry.
-  std::vector<FleetAlert> evaluate(const Aggregator& aggregator,
-                                   std::int64_t now_ms);
-
-  [[nodiscard]] std::uint64_t alerts_raised() const noexcept {
-    return alerts_raised_;
-  }
-
- private:
-  struct TailCursor {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    std::uint64_t buckets[Histogram::kBuckets] = {};
-  };
-
-  void raise(std::vector<FleetAlert>& out, std::string rule, std::string node,
-             std::string message, double value, std::int64_t now_ms);
-
-  FleetWatchdogConfig config_;
-  MetricRegistry* registry_;
-  bool primed_ = false;
-  std::uint64_t undeclared_seen_ = 0;
-  TailCursor tail_cursor_;
-  std::uint64_t alerts_raised_ = 0;
-  Counter* alerts_total_ = nullptr;
 };
 
 }  // namespace dust::obs

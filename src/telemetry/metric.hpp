@@ -1,9 +1,9 @@
 // Metric model for the in-device telemetry substrate.
 //
 // Monitoring agents (agent.hpp) sample device state into named metrics; the
-// TSDB (tsdb.hpp) stores them Gorilla-compressed; the federation layer
-// (federation.hpp) aggregates across nodes — the paper's "Time-Series
-// Federation" component.
+// TSDB (tsdb.hpp) stores them Gorilla-compressed. The paper's "Time-Series
+// Federation" across nodes is obs::Aggregator (fleet metrics) plus
+// dataplane::Collector (the TSDB blocks themselves).
 #pragma once
 
 #include <cstdint>
