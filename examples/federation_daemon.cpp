@@ -291,43 +291,17 @@ int main(int argc, char** argv) {
     watch_config.now = [&sim] { return sim.now(); };
     auto watch = std::make_unique<wire::SocketTransport>(watch_config);
     // The primary broadcasts hellos/digests to this endpoint (its
-    // --observer list); receiving them is the liveness signal.
-    watch->register_endpoint(
-        federation::standby_federation_endpoint(options.shard),
-        [](const sim::Envelope&) {});
+    // --observer list); any federation frame from its own shard is the
+    // liveness signal.
     std::int64_t last_activity = wall_since(t0);
-    watch->set_federation_handler([&](wire::Frame&& frame) {
-      std::uint32_t src = ~0u;
-      std::uint64_t epoch = 0;
-      switch (frame.type) {
-        case wire::FrameType::kShardHello:
-          src = frame.shard_hello.shard;
-          epoch = frame.shard_hello.epoch;
-          break;
-        case wire::FrameType::kCapacityDigest:
-          src = frame.capacity_digest.shard;
-          epoch = frame.capacity_digest.epoch;
-          break;
-        case wire::FrameType::kDelegateRequest:
-          src = frame.delegate_request.shard;
-          epoch = frame.delegate_request.epoch;
-          break;
-        case wire::FrameType::kDelegateReply:
-          src = frame.delegate_reply.shard;
-          epoch = frame.delegate_reply.epoch;
-          break;
-        case wire::FrameType::kDomainHandoff:
-          src = frame.domain_handoff.domain;
-          epoch = frame.domain_handoff.epoch;
-          break;
-        default:
-          return;
-      }
-      if (src == options.shard) {
-        last_activity = wall_since(t0);
-        seen_epoch = std::max(seen_epoch, epoch);
-      }
-    });
+    watch->register_frame_endpoint(
+        federation::standby_federation_endpoint(options.shard),
+        [&](wire::Frame&& frame) {
+          const auto origin = wire::federation_origin(frame);
+          if (!origin || origin->shard != options.shard) return;
+          last_activity = wall_since(t0);
+          seen_epoch = std::max(seen_epoch, origin->epoch);
+        });
     std::cout << "STANDBY watching=" << options.standby_target << "\n"
               << std::flush;
     while (wall_since(t0) - last_activity < options.silence_ms) {
@@ -361,10 +335,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "PORT " << hub->listen_port() << "\n" << std::flush;
 
-  // Federation-plane endpoint: inbound peer frames are addressed here and
-  // land on the transport's federation handler.
-  hub->register_endpoint(federation::federation_endpoint(options.shard),
-                         [](const sim::Envelope&) {});
   // This process's metrics, scrapable by a multi-hub fleet_top.
   wire::ObsResponder obs_responder(*hub,
                                    "shard" + std::to_string(options.shard));
@@ -395,7 +365,10 @@ int main(int argc, char** argv) {
     if (link != peer_links.end()) return link->second->send_frame(frame);
     return hub->send_frame(frame);  // observers announce themselves on the hub
   });
-  hub->set_federation_handler(
+  // Federation-plane endpoint: every peer frame for this shard arrives here,
+  // on the shard's own hub (peers send over their leaf links toward it).
+  hub->register_frame_endpoint(
+      federation::federation_endpoint(options.shard),
       [&](wire::Frame&& frame) { fed.handle_peer_frame(std::move(frame)); });
   // Cross-domain client traffic (the busy client's AgentTransfer to a
   // destination homed on a peer shard, and any telemetry flowing back) has
@@ -418,10 +391,6 @@ int main(int argc, char** argv) {
     if (link == peer_links.end()) return false;
     return link->second->send_frame(frame);
   });
-  // Replies from a peer hub arrive on the leaf link toward it.
-  for (auto& [endpoint, link] : peer_links)
-    link->set_federation_handler(
-        [&](wire::Frame&& frame) { fed.handle_peer_frame(std::move(frame)); });
 
   return run_primary(sim, *hub, peer_links, fed, options, t0, take_over);
 }

@@ -11,17 +11,11 @@ namespace dust::dataplane {
 
 Collector::Collector(wire::SocketTransport& transport, std::string endpoint)
     : transport_(&transport), endpoint_(std::move(endpoint)) {
-  // The envelope handler is a sink: control traffic never targets the
-  // collector, but registering the name makes the hub route (and the leaf
-  // announce) kDataBlocks frames here.
-  endpoint_token_ = transport_->register_endpoint(
-      endpoint_, [](const sim::Envelope&) {});
-  transport_->set_data_handler(
-      [this](wire::Frame&& frame) { on_data(std::move(frame)); });
+  endpoint_token_ = transport_->register_frame_endpoint(
+      endpoint_, [this](wire::Frame&& frame) { on_data(std::move(frame)); });
 }
 
 Collector::~Collector() {
-  transport_->set_data_handler(nullptr);
   transport_->unregister_endpoint(endpoint_, endpoint_token_);
 }
 
@@ -77,7 +71,6 @@ bool Collector::gap_declared(const OwnerState& owner,
 }
 
 void Collector::on_data(wire::Frame&& frame) {
-  if (frame.to != endpoint_) return;  // another endpoint's traffic
   if (frame.type == wire::FrameType::kDataDegrade) {
     on_degrade(frame);
   } else if (frame.type == wire::FrameType::kDataBlocks) {

@@ -43,8 +43,9 @@ struct CollectorStats {
 
 class Collector {
  public:
-  /// Registers `endpoint` (with a no-op envelope handler, so the hub learns
-  /// the route) and installs the transport's data handler.
+  /// Registers `endpoint` as a frame endpoint: every kDataBlocks /
+  /// kDataDegrade frame addressed to it lands here. Several collectors can
+  /// share one transport under different names.
   Collector(wire::SocketTransport& transport, std::string endpoint);
   ~Collector();
 

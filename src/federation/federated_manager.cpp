@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 namespace dust::federation {
@@ -296,39 +297,14 @@ bool FederatedManager::fence(std::uint32_t shard, std::uint64_t epoch) {
 }
 
 void FederatedManager::handle_peer_frame(wire::Frame frame) {
-  std::uint32_t src = 0;
-  std::uint64_t epoch = 0;
-  bool from_standby = false;
-  switch (frame.type) {
-    case wire::FrameType::kShardHello:
-      src = frame.shard_hello.shard;
-      epoch = frame.shard_hello.epoch;
-      from_standby = frame.shard_hello.standby;
-      break;
-    case wire::FrameType::kCapacityDigest:
-      src = frame.capacity_digest.shard;
-      epoch = frame.capacity_digest.epoch;
-      break;
-    case wire::FrameType::kDelegateRequest:
-      src = frame.delegate_request.shard;
-      epoch = frame.delegate_request.epoch;
-      break;
-    case wire::FrameType::kDelegateReply:
-      src = frame.delegate_reply.shard;
-      epoch = frame.delegate_reply.epoch;
-      break;
-    case wire::FrameType::kDomainHandoff:
-      src = frame.domain_handoff.domain;
-      epoch = frame.domain_handoff.epoch;
-      break;
-    default:
-      return;  // not a federation frame
-  }
+  const std::optional<wire::FederationOrigin> origin =
+      wire::federation_origin(frame);
+  if (!origin) return;  // not a federation frame
   // A standby watches its own primary's traffic: any non-standby frame from
   // the home shard proves the primary is alive.
-  if (src == config_.shard && !from_standby)
+  if (origin->shard == config_.shard && !origin->standby)
     last_primary_activity_ = sim_->now();
-  if (!fence(src, epoch)) {
+  if (!fence(origin->shard, origin->epoch)) {
     metrics_.stale_frames->inc();
     ++stats_.stale_frames_rejected;
     return;

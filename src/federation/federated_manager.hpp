@@ -34,8 +34,8 @@
 //
 // Transport-agnostic: peer frames leave through an injected sender and
 // arrive through handle_peer_frame(). The daemon wires both to a
-// wire::SocketTransport (set_federation_handler / send_frame); in-process
-// tests wire shards directly to each other.
+// wire::SocketTransport (a frame endpoint named federation_endpoint(shard),
+// and send_frame); in-process tests wire shards directly to each other.
 #pragma once
 
 #include <cstdint>

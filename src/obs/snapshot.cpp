@@ -2,109 +2,29 @@
 
 #include <bit>
 #include <cstring>
+#include <string_view>
+
+#include "util/bytes.hpp"
 
 namespace dust::obs {
 
 namespace {
 
-// Little-endian primitives, mirroring the wire codec's but local to obs so
-// the snapshot schema carries no dust_wire dependency (dust_wire links
-// dust_obs, not the other way around).
+using Writer = util::ByteWriter;
+using Reader = util::ByteReader;
 
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
-
-  void u8(std::uint8_t v) { out_->push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str16(const std::string& s) {
-    const std::size_t n = s.size() > 0xFFFF ? 0xFFFF : s.size();
-    u16(static_cast<std::uint16_t>(n));
-    out_->insert(out_->end(), s.begin(), s.begin() + static_cast<long>(n));
-  }
-
- private:
-  std::vector<std::uint8_t>* out_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == size_; }
-
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return data_[pos_ - 1];
-  }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    return static_cast<std::uint16_t>(data_[pos_ - 2] |
-                                      (data_[pos_ - 1] << 8));
-  }
-  std::uint32_t u32() {
-    const std::uint32_t lo = u16();
-    const std::uint32_t hi = u16();
-    return lo | (hi << 16);
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str16() {
-    const std::uint16_t n = u16();
-    if (!take(n)) return {};
-    return std::string(reinterpret_cast<const char*>(data_ + pos_ - n), n);
-  }
-  /// Count prefix with a minimum-bytes-per-element sanity bound, so a
-  /// corrupt count fails fast instead of looping or ballooning a reserve.
-  std::uint32_t count32(std::size_t min_element_bytes) {
-    const std::uint32_t n = u32();
-    if (ok_ && min_element_bytes > 0 &&
-        static_cast<std::uint64_t>(n) * min_element_bytes > size_ - pos_)
-      ok_ = false;
-    return ok_ ? n : 0;
-  }
-
- private:
-  bool take(std::size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+/// Snapshot strings (metric names, span names and tracks) truncate at the
+/// u16 length prefix rather than throw: an over-long name must not stop a
+/// node from answering scrapes.
+void put_str(Writer& w, const std::string& s) {
+  w.str16(std::string_view(s).substr(0, 0xFFFF));
+}
 
 constexpr std::uint8_t kFlagFull = 0x01;
 
 void put_span(Writer& w, const SpanRecord& span) {
-  w.str16(span.name);
-  w.str16(span.track);
+  put_str(w, span.name);
+  put_str(w, span.track);
   w.f64(span.wall_ms);
   w.i64(span.sim_start_ms);
   w.i64(span.sim_duration_ms);
@@ -216,7 +136,7 @@ bool SnapshotEncoder::encode(std::int64_t source_now_ms,
                            const std::string& name) {
     w.u8(static_cast<std::uint8_t>(kind));
     w.u32(id);
-    w.str16(name);
+    put_str(w, name);
     ++def_count;
   };
   for (std::uint32_t i = 0; i < counters_.size(); ++i) {

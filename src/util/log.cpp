@@ -10,7 +10,6 @@ namespace dust::util {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::mutex g_emit_mutex;
-EmitObserver g_emit_observer;  // guarded by g_emit_mutex
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -45,15 +44,9 @@ void init_log_level_from_env() {
   if (const char* env = std::getenv("DUST_LOG")) set_log_level(parse_log_level(env));
 }
 
-void set_emit_observer(EmitObserver observer) {
-  std::lock_guard lock(g_emit_mutex);
-  g_emit_observer = std::move(observer);
-}
-
 namespace detail {
 void emit(LogLevel level, const std::string& message) {
   std::lock_guard lock(g_emit_mutex);
-  if (g_emit_observer) g_emit_observer(level);
   std::cerr << "[dust:" << level_name(level) << "] " << message << '\n';
 }
 }  // namespace detail

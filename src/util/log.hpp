@@ -5,7 +5,6 @@
 // (trace|debug|info|warn|error|off).
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -21,12 +20,6 @@ LogLevel parse_log_level(const std::string& name) noexcept;
 
 /// Initialize the level from the DUST_LOG environment variable once.
 void init_log_level_from_env();
-
-/// Called (under the emit lock) for every emitted line, with its level.
-/// dust::obs installs a counter here (obs/log_metrics.hpp) so log volume is
-/// observable without util depending on the registry. nullptr clears it.
-using EmitObserver = std::function<void(LogLevel)>;
-void set_emit_observer(EmitObserver observer);
 
 namespace detail {
 void emit(LogLevel level, const std::string& message);

@@ -5,23 +5,6 @@
 
 namespace dust::util {
 
-namespace {
-
-std::mutex g_pool_observer_mutex;
-PoolObserver g_pool_observer;
-
-void notify_pool_observer(std::uint64_t chunks, std::uint64_t steals) {
-  std::lock_guard lock(g_pool_observer_mutex);
-  if (g_pool_observer) g_pool_observer(chunks, steals);
-}
-
-}  // namespace
-
-void set_pool_observer(PoolObserver observer) {
-  std::lock_guard lock(g_pool_observer_mutex);
-  g_pool_observer = std::move(observer);
-}
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
@@ -83,10 +66,8 @@ void ThreadPool::parallel_for_chunks(
   // next unclaimed chunk. A chunk whose static block owner (an even split
   // of the chunk range across workers) is a different worker counts as a
   // steal — the dynamic schedule silently absorbing imbalance is exactly
-  // what dust_pool_steal makes visible.
+  // what chunk_steals() makes visible.
   std::atomic<std::size_t> cursor{0};
-  std::uint64_t region_chunks = 0;
-  std::uint64_t region_steals = 0;
   const auto drain = [&, this](std::size_t worker_index) {
     for (;;) {
       const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -107,13 +88,9 @@ void ThreadPool::parallel_for_chunks(
       const std::size_t begin = c * chunk;
       fn(begin, std::min(begin + chunk, n));
     }
-    region_chunks = chunks;
-    notify_pool_observer(region_chunks, region_steals);
     return;
   }
 
-  const std::uint64_t tasks_before = chunk_tasks();
-  const std::uint64_t steals_before = chunk_steals();
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
@@ -126,9 +103,6 @@ void ThreadPool::parallel_for_chunks(
       if (!first_error) first_error = std::current_exception();
     }
   }
-  region_chunks = chunk_tasks() - tasks_before;
-  region_steals = chunk_steals() - steals_before;
-  notify_pool_observer(region_chunks, region_steals);
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -94,14 +94,6 @@ class ThreadPool {
   std::atomic<std::uint64_t> chunk_steals_{0};
 };
 
-/// Pool-activity observer (util lives below obs in the layering, so the
-/// registry bridge in obs/pool_metrics installs a callback instead of the
-/// pool linking against it). Invoked once per parallel_for_chunks region,
-/// from the calling thread, with that region's chunk/steal deltas.
-using PoolObserver = std::function<void(std::uint64_t chunks,
-                                        std::uint64_t steals)>;
-void set_pool_observer(PoolObserver observer);
-
 /// Process-wide pool, lazily constructed on first use. The first call fixes
 /// the worker count: the `threads` argument when nonzero, else the
 /// DUST_THREADS environment variable, else hardware concurrency. Later

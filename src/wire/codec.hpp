@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -314,15 +315,25 @@ struct Frame {
 [[nodiscard]] Frame domain_handoff_frame(std::string from, std::string to,
                                          DomainHandoffBody body);
 
-/// True for the manager-to-manager federation frame types (220..224) —
-/// routed through SocketTransport's federation handler.
-[[nodiscard]] constexpr bool is_federation_frame(FrameType type) noexcept {
-  return type == FrameType::kShardHello ||
-         type == FrameType::kCapacityDigest ||
-         type == FrameType::kDelegateRequest ||
-         type == FrameType::kDelegateReply ||
-         type == FrameType::kDomainHandoff;
+/// True for the protocol frame types (1..10), the ones carrying a
+/// core::Message.
+[[nodiscard]] constexpr bool is_message_frame(FrameType type) noexcept {
+  return type >= FrameType::kOffloadCapable && type <= FrameType::kRelease;
 }
+
+/// Sender of a federation frame, as its body states it: the shard (a
+/// handoff's domain), that shard's epoch, and whether a standby sent it
+/// (only a hello says so).
+struct FederationOrigin {
+  std::uint32_t shard = 0;
+  std::uint64_t epoch = 0;
+  bool standby = false;
+};
+
+/// The origin of a federation frame (kShardHello..kDomainHandoff); nothing
+/// for any other frame type.
+[[nodiscard]] std::optional<FederationOrigin> federation_origin(
+    const Frame& frame) noexcept;
 
 /// Borrowed view of payload bytes owned elsewhere (a sealed TSDB block).
 struct PayloadRef {

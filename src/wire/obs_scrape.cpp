@@ -17,21 +17,16 @@ ObsResponder::ObsResponder(SocketTransport& transport, std::string node,
       registry_(&registry),
       now_(std::move(now)),
       scrape_bytes_(&registry.counter("dust_obs_scrape_bytes_total")) {
-  // The endpoint handler never runs — kObsScrape frames land on the obs
-  // handler slot, not the envelope path — but registering the name is what
-  // makes the hub route scrapes here and lets scrapers discover us.
-  token_ =
-      transport_->register_endpoint(endpoint_, [](const sim::Envelope&) {});
-  transport_->set_obs_scrape_handler(
-      [this](Frame&& frame) { on_scrape(std::move(frame)); });
+  token_ = transport_->register_frame_endpoint(
+      endpoint_, [this](Frame&& frame) { on_scrape(std::move(frame)); });
 }
 
 ObsResponder::~ObsResponder() {
-  transport_->set_obs_scrape_handler({});
   transport_->unregister_endpoint(endpoint_, token_);
 }
 
 void ObsResponder::on_scrape(Frame&& frame) {
+  if (frame.type != FrameType::kObsScrape) return;
   std::unique_ptr<obs::SnapshotEncoder>& slot = encoders_[frame.from];
   if (!slot) slot = std::make_unique<obs::SnapshotEncoder>(*registry_);
   obs::SnapshotEncoder& encoder = *slot;
@@ -69,14 +64,11 @@ ObsScraper::ObsScraper(SocketTransport& transport, obs::Aggregator& aggregator,
       decode_failures_counter_(
           &registry.counter("dust_obs_snapshot_decode_failures_total")) {
   for (const std::string& target : config_.targets) targets_.emplace(target, Target{});
-  token_ =
-      transport_->register_endpoint(endpoint_, [](const sim::Envelope&) {});
-  transport_->set_obs_snapshot_handler(
-      [this](Frame&& frame) { on_snapshot(std::move(frame)); });
+  token_ = transport_->register_frame_endpoint(
+      endpoint_, [this](Frame&& frame) { on_snapshot(std::move(frame)); });
 }
 
 ObsScraper::~ObsScraper() {
-  transport_->set_obs_snapshot_handler({});
   transport_->unregister_endpoint(endpoint_, token_);
 }
 
@@ -109,6 +101,7 @@ std::vector<std::string> ObsScraper::targets() const {
 }
 
 void ObsScraper::on_snapshot(Frame&& frame) {
+  if (frame.type != FrameType::kObsSnapshot) return;
   Target& target = targets_[frame.from];
   obs::SnapshotDelta delta;
   if (!decode_snapshot(frame.obs_snapshot.payload.data(),

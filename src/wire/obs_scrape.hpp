@@ -42,8 +42,8 @@ inline constexpr const char* kObsEndpointPrefix = "dust-obs-";
   return std::string(kObsEndpointPrefix) + node;
 }
 
-/// Serves one registry's metrics to any number of scrapers. Owns the
-/// transport's obs-scrape handler slot; one responder per transport.
+/// Serves one registry's metrics to any number of scrapers through its own
+/// frame endpoint; several responders can share one transport.
 class ObsResponder {
  public:
   /// Registers endpoint "dust-obs-<node>" on `transport` and starts
@@ -98,7 +98,7 @@ struct ObsScraperConfig {
 };
 
 /// Pulls snapshots from responders and merges them into an Aggregator.
-/// Owns the transport's obs-snapshot handler slot; one scraper per
+/// Replies arrive on its own frame endpoint; several scrapers can share one
 /// transport.
 class ObsScraper {
  public:

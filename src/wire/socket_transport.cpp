@@ -238,6 +238,21 @@ void SocketTransport::announce_local_endpoints() {
 std::uint64_t SocketTransport::register_endpoint(const std::string& name,
                                                  Handler handler) {
   if (!handler) throw std::invalid_argument("wire: null handler");
+  return register_frame_endpoint(
+      name, [this, handler = std::move(handler)](Frame&& frame) {
+        if (!is_message_frame(frame.type)) {
+          drop_no_endpoint(frame.kind, frame.from, frame.to, frame.trace_id);
+          return;
+        }
+        handler(sim::Envelope{std::move(frame.from), std::move(frame.to),
+                              std::move(frame.message), frame.priority,
+                              std::move(frame.kind), frame.trace_id});
+      });
+}
+
+std::uint64_t SocketTransport::register_frame_endpoint(const std::string& name,
+                                                       FrameHandler handler) {
+  if (!handler) throw std::invalid_argument("wire: null handler");
   const std::uint64_t token = next_token_++;
   local_endpoints_[name] = EndpointEntry{std::move(handler), token};
   announce_local_endpoints();
@@ -276,13 +291,22 @@ void SocketTransport::record_hop(obs::FlightEventKind event,
                                        obs::FlightEvent::kNoNode, 0.0, detail);
 }
 
-void SocketTransport::drop_frame(const Frame& frame, const char* cause,
-                                 obs::Counter* by_cause) {
+void SocketTransport::drop_no_endpoint(const std::string& kind,
+                                       const std::string& from,
+                                       const std::string& to,
+                                       std::uint64_t trace_id) {
   ++dropped_;
   metrics_.dropped->inc();
-  if (by_cause != nullptr) by_cause->inc();
-  record_hop(obs::FlightEventKind::kMessageDrop, frame.kind, frame.from,
-             frame.to, frame.trace_id, cause);
+  metrics_.dropped_no_endpoint->inc();
+  record_hop(obs::FlightEventKind::kMessageDrop, kind, from, to, trace_id,
+             "no_endpoint");
+}
+
+void SocketTransport::count_tx(const std::string& kind, const std::string& from,
+                               const std::string& to, std::uint64_t trace_id) {
+  ++frames_sent_;
+  metrics_.tx_frames->inc();
+  record_hop(obs::FlightEventKind::kMessageTx, kind, from, to, trace_id);
 }
 
 bool SocketTransport::enqueue(Peer& peer, TxFrame frame,
@@ -332,37 +356,16 @@ void SocketTransport::send(const std::string& from, const std::string& to,
     metrics_.dropped->inc();
     return;
   }
-  ++frames_sent_;
-  metrics_.tx_frames->inc();
-  record_hop(obs::FlightEventKind::kMessageTx, kind, from, to, trace_id);
+  Frame frame = message_frame(from, to, std::move(*message), priority,
+                              std::move(kind), trace_id);
   if (local_endpoints_.count(to) > 0) {
     // Same-process endpoint: no codec round trip, but identical delivery
     // semantics (queued, dispatched from poll_once like a received frame).
-    local_queue_.push_back(sim::Envelope{from, to, std::move(*message),
-                                         priority, std::move(kind), trace_id});
+    count_tx(frame.kind, from, to, trace_id);
+    inbox_.push_back(std::move(frame));
     return;
   }
-  Peer* peer = nullptr;
-  if (config_.role == SocketTransportConfig::Role::kLeaf) {
-    peer = &hub_link_;  // queues persist across reconnects
-  } else {
-    peer = route_of(to);
-    if (peer == nullptr) {
-      Frame context;
-      context.kind = kind;
-      context.from = from;
-      context.to = to;
-      context.trace_id = trace_id;
-      drop_frame(context, "no_endpoint", metrics_.dropped_no_endpoint);
-      return;
-    }
-  }
-  const std::int64_t start_us = steady_us();
-  std::vector<std::uint8_t> bytes = encode_frame(
-      message_frame(from, to, std::move(*message), priority, kind, trace_id));
-  metrics_.encode_us->observe(static_cast<double>(steady_us() - start_us));
-  enqueue(*peer, TxFrame{std::move(bytes), {}, {}}, priority, kind, from, to,
-          trace_id);
+  send_frame(frame);
 }
 
 bool SocketTransport::send_data_frame(const std::string& from,
@@ -371,78 +374,48 @@ bool SocketTransport::send_data_frame(const std::string& from,
                                       sim::Priority priority,
                                       const std::string& kind,
                                       std::shared_ptr<const void> owner) {
-  ++frames_sent_;
-  metrics_.tx_frames->inc();
-  record_hop(obs::FlightEventKind::kMessageTx, kind, from, to, 0);
-  if (local_endpoints_.count(to) > 0) {
-    // Same-process destination (tests, single-transport demos): reassemble
-    // the contiguous encoding and run it through the decoder so the data
-    // handler sees exactly what a remote collector would.
-    std::vector<std::uint8_t> contiguous = std::move(frame.head);
-    for (const PayloadRef& segment : frame.segments)
-      contiguous.insert(contiguous.end(), segment.data,
-                        segment.data + segment.size);
-    DecodeResult decoded = decode_frame(contiguous.data(), contiguous.size());
-    if (decoded.status != DecodeStatus::kOk) {
-      ++decode_errors_;
-      metrics_.decode_errors->inc();
-      return false;
-    }
-    data_queue_.push_back(std::move(decoded.frame));
-    return true;
-  }
-  Peer* peer = config_.role == SocketTransportConfig::Role::kLeaf
-                   ? &hub_link_
-                   : route_of(to);
-  if (peer == nullptr) {
-    Frame context;
-    context.kind = kind;
-    context.from = from;
-    context.to = to;
-    drop_frame(context, "no_endpoint", metrics_.dropped_no_endpoint);
-    return false;
-  }
-  return enqueue(
-      *peer,
-      TxFrame{std::move(frame.head), std::move(frame.segments),
-              std::move(owner)},
-      priority, kind, from, to, 0);
+  return transmit(TxFrame{std::move(frame.head), std::move(frame.segments),
+                          std::move(owner)},
+                  priority, kind, from, to, 0);
 }
 
-bool SocketTransport::send_frame(Frame frame) {
-  ++frames_sent_;
-  metrics_.tx_frames->inc();
-  record_hop(obs::FlightEventKind::kMessageTx, frame.kind, frame.from,
-             frame.to, frame.trace_id);
-  if (local_endpoints_.count(frame.to) > 0) {
-    // Same-process destination: run the codec round trip anyway so the obs
-    // and federation handlers always see decoder-validated frames, local or
-    // remote.
-    std::vector<std::uint8_t> bytes = encode_frame(frame);
+bool SocketTransport::send_frame(const Frame& frame) {
+  const std::int64_t start_us = steady_us();
+  std::vector<std::uint8_t> bytes = encode_frame(frame);
+  metrics_.encode_us->observe(static_cast<double>(steady_us() - start_us));
+  return transmit(TxFrame{std::move(bytes), {}, {}}, frame.priority,
+                  frame.kind, frame.from, frame.to, frame.trace_id);
+}
+
+bool SocketTransport::transmit(TxFrame tx, sim::Priority priority,
+                               const std::string& kind,
+                               const std::string& from, const std::string& to,
+                               std::uint64_t trace_id) {
+  count_tx(kind, from, to, trace_id);
+  if (local_endpoints_.count(to) > 0) {
+    // Same-process destination (tests, single-transport demos, in-process
+    // shards): reassemble the contiguous encoding and run it through the
+    // decoder, so the handler sees exactly what a remote peer would.
+    std::vector<std::uint8_t> bytes = std::move(tx.head);
+    for (const PayloadRef& segment : tx.segments)
+      bytes.insert(bytes.end(), segment.data, segment.data + segment.size);
     DecodeResult decoded = decode_frame(bytes.data(), bytes.size());
     if (decoded.status != DecodeStatus::kOk) {
       ++decode_errors_;
       metrics_.decode_errors->inc();
       return false;
     }
-    if (is_federation_frame(decoded.frame.type))
-      fed_queue_.push_back(std::move(decoded.frame));
-    else
-      obs_queue_.push_back(std::move(decoded.frame));
+    inbox_.push_back(std::move(decoded.frame));
     return true;
   }
   Peer* peer = config_.role == SocketTransportConfig::Role::kLeaf
-                   ? &hub_link_
-                   : route_of(frame.to);
+                   ? &hub_link_  // queues persist across reconnects
+                   : route_of(to);
   if (peer == nullptr) {
-    drop_frame(frame, "no_endpoint", metrics_.dropped_no_endpoint);
+    drop_no_endpoint(kind, from, to, trace_id);
     return false;
   }
-  const std::int64_t start_us = steady_us();
-  std::vector<std::uint8_t> bytes = encode_frame(frame);
-  metrics_.encode_us->observe(static_cast<double>(steady_us() - start_us));
-  return enqueue(*peer, TxFrame{std::move(bytes), {}, {}}, frame.priority,
-                 frame.kind, frame.from, frame.to, frame.trace_id);
+  return enqueue(*peer, std::move(tx), priority, kind, from, to, trace_id);
 }
 
 std::vector<std::string> SocketTransport::remote_endpoint_names(
@@ -516,29 +489,7 @@ bool SocketTransport::handle_frame(Peer& peer, DecodeResult decoded) {
   if (local_endpoints_.count(frame.to) > 0) {
     record_hop(obs::FlightEventKind::kMessageRx, frame.kind, frame.from,
                frame.to, frame.trace_id);
-    if (frame.type == FrameType::kDataBlocks ||
-        frame.type == FrameType::kDataDegrade) {
-      // Data-plane frames bypass the envelope path: they carry compressed
-      // blocks, not a core::Message, and land on the data handler.
-      data_queue_.push_back(std::move(frame));
-      return true;
-    }
-    if (frame.type == FrameType::kObsScrape ||
-        frame.type == FrameType::kObsSnapshot) {
-      // Observability frames likewise carry typed bodies, not a
-      // core::Message; they land on the obs handlers.
-      obs_queue_.push_back(std::move(frame));
-      return true;
-    }
-    if (is_federation_frame(frame.type)) {
-      // Manager-to-manager frames (DESIGN.md §16) land on the federation
-      // handler.
-      fed_queue_.push_back(std::move(frame));
-      return true;
-    }
-    local_queue_.push_back(sim::Envelope{
-        std::move(frame.from), std::move(frame.to), std::move(frame.message),
-        frame.priority, std::move(frame.kind), frame.trace_id});
+    inbox_.push_back(std::move(frame));
     return true;
   }
   if (config_.role == SocketTransportConfig::Role::kHub) {
@@ -567,7 +518,7 @@ bool SocketTransport::handle_frame(Peer& peer, DecodeResult decoded) {
       return true;
     }
   }
-  drop_frame(frame, "no_endpoint", metrics_.dropped_no_endpoint);
+  drop_no_endpoint(frame.kind, frame.from, frame.to, frame.trace_id);
   return true;
 }
 
@@ -691,9 +642,7 @@ std::size_t SocketTransport::poll_once(int timeout_ms) {
   if (hub_link_.fd >= 0) fds.push_back({hub_link_.fd, wants(hub_link_), 0});
 
   // Local-only work pending? Don't sleep on the sockets.
-  if (!local_queue_.empty() || !data_queue_.empty() || !obs_queue_.empty() ||
-      !fed_queue_.empty())
-    timeout_ms = 0;
+  if (!inbox_.empty()) timeout_ms = 0;
   if (!fds.empty()) {
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
   }
@@ -761,54 +710,16 @@ std::size_t SocketTransport::poll_once(int timeout_ms) {
   // handlers can freely send() (and even trigger new local deliveries,
   // which run in this same drain).
   std::size_t delivered = 0;
-  while (!local_queue_.empty()) {
-    sim::Envelope envelope = std::move(local_queue_.front());
-    local_queue_.pop_front();
-    auto it = local_endpoints_.find(envelope.to);
+  while (!inbox_.empty()) {
+    Frame frame = std::move(inbox_.front());
+    inbox_.pop_front();
+    auto it = local_endpoints_.find(frame.to);
     if (it == local_endpoints_.end()) {
-      Frame context;
-      context.kind = envelope.kind;
-      context.from = envelope.from;
-      context.to = envelope.to;
-      context.trace_id = envelope.trace_id;
-      drop_frame(context, "no_endpoint", metrics_.dropped_no_endpoint);
+      drop_no_endpoint(frame.kind, frame.from, frame.to, frame.trace_id);
       continue;
     }
     ++delivered;
-    it->second.handler(envelope);
-  }
-  while (!data_queue_.empty()) {
-    Frame frame = std::move(data_queue_.front());
-    data_queue_.pop_front();
-    if (!data_handler_) {
-      drop_frame(frame, "no_data_handler", metrics_.dropped_no_endpoint);
-      continue;
-    }
-    ++delivered;
-    data_handler_(std::move(frame));
-  }
-  while (!obs_queue_.empty()) {
-    Frame frame = std::move(obs_queue_.front());
-    obs_queue_.pop_front();
-    std::function<void(Frame&&)>& handler =
-        frame.type == FrameType::kObsScrape ? obs_scrape_handler_
-                                            : obs_snapshot_handler_;
-    if (!handler) {
-      drop_frame(frame, "no_obs_handler", metrics_.dropped_no_endpoint);
-      continue;
-    }
-    ++delivered;
-    handler(std::move(frame));
-  }
-  while (!fed_queue_.empty()) {
-    Frame frame = std::move(fed_queue_.front());
-    fed_queue_.pop_front();
-    if (!federation_handler_) {
-      drop_frame(frame, "no_federation_handler", metrics_.dropped_no_endpoint);
-      continue;
-    }
-    ++delivered;
-    federation_handler_(std::move(frame));
+    it->second.handler(std::move(frame));
   }
   return delivered;
 }

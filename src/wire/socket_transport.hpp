@@ -12,6 +12,13 @@
 //   kLeaf — connects to the hub, announces its local endpoint names, and
 //           reconnects with capped exponential backoff when the hub drops.
 //
+// Every local delivery goes through one endpoint table: a frame is handed to
+// the handler registered under the name in `frame.to`, whatever its type.
+// Protocol endpoints (register_endpoint) see a sim::Envelope; data-plane,
+// observability and federation endpoints (register_frame_endpoint) see the
+// decoded Frame. Any number of collectors, responders, scrapers and shard
+// managers can share one transport, each under its own name.
+//
 // QoS (§III-C): each connection keeps two outbound queues; kNormal control
 // traffic always drains before kLow monitoring data, and when the queue cap
 // is hit, kLow is shed first. Partial reads reassemble through
@@ -19,7 +26,8 @@
 //
 // Single-threaded by design, like the rest of the runtime: all calls —
 // send(), register_endpoint(), poll_once() — must come from the owning
-// thread. Handlers run inside poll_once and may send() reentrantly.
+// thread. Handlers run inside poll_once, in arrival order across all frame
+// types, and may send() reentrantly.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +90,8 @@ struct QueueState {
 
 class SocketTransport final : public sim::TransportBase {
  public:
+  using FrameHandler = std::function<void(Frame&&)>;
+
   /// Hub: binds and listens immediately (throws std::runtime_error on
   /// failure). Leaf: the first connect attempt happens on the next
   /// poll_once().
@@ -92,22 +102,34 @@ class SocketTransport final : public sim::TransportBase {
   SocketTransport& operator=(const SocketTransport&) = delete;
 
   // --- sim::TransportBase ---------------------------------------------------
+  /// Protocol endpoint: frames carrying a core::Message reach `handler` as
+  /// a sim::Envelope; any other frame type addressed here is dropped
+  /// (no_endpoint). Wraps register_frame_endpoint.
   std::uint64_t register_endpoint(const std::string& name,
                                   Handler handler) override;
   void unregister_endpoint(const std::string& name,
                            std::uint64_t token) override;
   [[nodiscard]] bool has_endpoint(const std::string& name) const override;
-  /// Local destinations dispatch on the next poll_once; remote destinations
-  /// are framed and queued on the owning connection (leaf: the hub link,
-  /// queued across reconnects). Payload must hold a core::Message.
+  /// Local destinations dispatch on the next poll_once without a codec
+  /// round trip; remote destinations are framed and queued on the owning
+  /// connection (leaf: the hub link, queued across reconnects). Payload
+  /// must hold a core::Message.
   void send(const std::string& from, const std::string& to, std::any payload,
             sim::Priority priority = sim::Priority::kNormal,
             std::string kind = {}, std::uint64_t trace_id = 0) override;
 
+  /// Register (or replace) the handler for every frame addressed to `name`:
+  /// data-plane blocks, obs scrapes and snapshots, federation frames, and
+  /// protocol messages alike. Same token and unregister_endpoint rules as
+  /// register_endpoint; a leaf announces the name to its hub.
+  std::uint64_t register_frame_endpoint(const std::string& name,
+                                        FrameHandler handler);
+
   // --- event loop -----------------------------------------------------------
   /// Pump the loop once: poll sockets up to `timeout_ms` (0 = non-blocking),
   /// accept/connect, read + decode + dispatch, flush queues, run reconnect
-  /// backoff. Returns the number of envelopes delivered to local handlers.
+  /// backoff. Returns the number of frames handed to local endpoint
+  /// handlers.
   std::size_t poll_once(int timeout_ms);
 
   [[nodiscard]] std::uint16_t listen_port() const noexcept {
@@ -139,50 +161,19 @@ class SocketTransport final : public sim::TransportBase {
   /// alive until the frame has fully left the socket, and the block bytes
   /// are never copied into a codec buffer. Returns false when the frame was
   /// shed (queue at cap) or unroutable. Local destinations are decoded and
-  /// delivered through the data handler on the next poll_once().
+  /// delivered to the endpoint's handler on the next poll_once().
   bool send_data_frame(const std::string& from, const std::string& to,
                        GatherFrame frame, sim::Priority priority,
                        const std::string& kind,
                        std::shared_ptr<const void> owner);
 
-  /// Receive path for data-plane frames (kDataBlocks / kDataDegrade): one
-  /// handler per transport, invoked from poll_once() for every data frame
-  /// addressed to a locally registered endpoint.
-  void set_data_handler(std::function<void(Frame&&)> handler) {
-    data_handler_ = std::move(handler);
-  }
-
-  // --- observability plane --------------------------------------------------
-  /// Queue an already-built obs frame (kObsScrape / kObsSnapshot) toward
-  /// `frame.to`. Encoded through the codec and routed exactly like send();
-  /// local destinations loop back through the obs queue so a scraper and a
-  /// responder on the same transport still exercise the codec. Returns
-  /// false when shed or unroutable.
-  bool send_frame(Frame frame);
-
-  /// Receive path for kObsScrape frames (pull requests from a scraper).
-  /// Separate from the snapshot handler so one transport can host both a
-  /// responder (manager scraping itself is handled via Aggregator::
-  /// ingest_local instead) and a scraper.
-  void set_obs_scrape_handler(std::function<void(Frame&&)> handler) {
-    obs_scrape_handler_ = std::move(handler);
-  }
-
-  /// Receive path for kObsSnapshot frames (kLow replies carrying encoded
-  /// metric snapshots).
-  void set_obs_snapshot_handler(std::function<void(Frame&&)> handler) {
-    obs_snapshot_handler_ = std::move(handler);
-  }
-
-  // --- federation plane -----------------------------------------------------
-  /// Receive path for manager-to-manager federation frames (kShardHello /
-  /// kCapacityDigest / kDelegateRequest / kDelegateReply / kDomainHandoff,
-  /// DESIGN.md §16): one handler per transport, invoked from poll_once()
-  /// for every federation frame addressed to a locally registered endpoint.
-  /// Send side is the generic send_frame().
-  void set_federation_handler(std::function<void(Frame&&)> handler) {
-    federation_handler_ = std::move(handler);
-  }
+  /// Queue an already-built frame (obs scrape/snapshot, federation) toward
+  /// `frame.to`. Encoded through the codec and routed exactly like
+  /// send_data_frame(); local destinations take the decode round trip too,
+  /// so a handler sees the same decoder-validated frame whether its peer
+  /// lives in this process or another. Returns false when shed or
+  /// unroutable.
+  bool send_frame(const Frame& frame);
 
   /// Hub only: last-resort route for a received frame whose destination is
   /// neither a local endpoint nor announced by any connected leaf. A
@@ -288,11 +279,19 @@ class SocketTransport final : public sim::TransportBase {
   bool flush(Peer& peer);  ///< false when the connection broke
   bool read_from(Peer& peer);  ///< false when the connection broke
   bool handle_frame(Peer& peer, DecodeResult decoded);
+  /// Shared tail of send_frame/send_data_frame: a local destination decodes
+  /// `tx` into the inbox, a remote one queues it on the owning connection,
+  /// an unroutable one drops (no_endpoint). False when dropped or shed.
+  bool transmit(TxFrame tx, sim::Priority priority, const std::string& kind,
+                const std::string& from, const std::string& to,
+                std::uint64_t trace_id);
+  void count_tx(const std::string& kind, const std::string& from,
+                const std::string& to, std::uint64_t trace_id);
   void record_hop(obs::FlightEventKind event, const std::string& kind,
                   const std::string& from, const std::string& to,
                   std::uint64_t trace_id, const char* cause = nullptr);
-  void drop_frame(const Frame& frame, const char* cause,
-                  obs::Counter* by_cause);
+  void drop_no_endpoint(const std::string& kind, const std::string& from,
+                        const std::string& to, std::uint64_t trace_id);
   /// Leaf: (re)send the kAnnounce frame naming every local endpoint.
   void announce_local_endpoints();
   [[nodiscard]] Peer* route_of(const std::string& endpoint);
@@ -313,29 +312,16 @@ class SocketTransport final : public sim::TransportBase {
   std::int64_t next_connect_at_ms_ = 0;  ///< steady wall clock (ms)
 
   struct EndpointEntry {
-    Handler handler;
+    FrameHandler handler;
     std::uint64_t token = 0;
   };
   std::unordered_map<std::string, EndpointEntry> local_endpoints_;
   std::unordered_map<std::string, int> remote_endpoints_;  ///< name -> peer fd
   std::uint64_t next_token_ = 1;
 
-  /// Envelopes addressed to a same-process endpoint, dispatched in
-  /// poll_once so handler reentrancy is never an issue.
-  std::deque<sim::Envelope> local_queue_;
-  /// Data-plane frames (kDataBlocks/kDataDegrade) awaiting the data
-  /// handler; same reentrancy discipline as local_queue_.
-  std::deque<Frame> data_queue_;
-  std::function<void(Frame&&)> data_handler_;
-  /// Observability frames (kObsScrape/kObsSnapshot) awaiting their
-  /// handlers; same reentrancy discipline as local_queue_.
-  std::deque<Frame> obs_queue_;
-  std::function<void(Frame&&)> obs_scrape_handler_;
-  std::function<void(Frame&&)> obs_snapshot_handler_;
-  /// Federation frames (kShardHello..kDomainHandoff) awaiting the
-  /// federation handler; same reentrancy discipline as local_queue_.
-  std::deque<Frame> fed_queue_;
-  std::function<void(Frame&&)> federation_handler_;
+  /// Frames for local endpoints, received or sent in-process, in arrival
+  /// order; dispatched in poll_once so handler reentrancy is never an issue.
+  std::deque<Frame> inbox_;
   std::function<bool(const Frame&)> gateway_;
   /// Leaf re-home hook (see set_reconnect_listener). `ever_connected_`
   /// distinguishes the first connect (no listener call) from reconnects.

@@ -5,8 +5,8 @@
 //
 // Shards are wired directly to each other through set_peer_sender /
 // handle_peer_frame — the daemon runtime routes the same frames through
-// wire::SocketTransport's federation handler instead; the state machines
-// under test are identical.
+// one wire::SocketTransport frame endpoint per shard instead; the state
+// machines under test are identical.
 #include <gtest/gtest.h>
 
 #include <memory>

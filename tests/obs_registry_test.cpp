@@ -7,10 +7,7 @@
 #include <string>
 
 #include "obs/export.hpp"
-#include "obs/log_metrics.hpp"
-#include "obs/pool_metrics.hpp"
 #include "obs/span.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dust::obs {
@@ -200,24 +197,6 @@ TEST_F(RegistryTest, SpanRingKeepsMostRecent) {
             "s" + std::to_string(MetricRegistry::kMaxSpans + 9));
 }
 
-// Satellite: LOG_AT call counts per level become counters via the observer.
-TEST_F(RegistryTest, LogMetricsCountEmittedLines) {
-  const util::LogLevel saved = util::log_level();
-  util::set_log_level(util::LogLevel::kWarn);
-  attach_log_metrics(registry);
-  DUST_LOG_WARN << "observable warning";
-  DUST_LOG_ERROR << "observable error";
-  DUST_LOG_DEBUG << "below threshold, not emitted";
-  detach_log_metrics();
-  util::set_log_level(saved);
-  EXPECT_EQ(registry.counter("dust_util_log_warn_total").value(), 1u);
-  EXPECT_EQ(registry.counter("dust_util_log_error_total").value(), 1u);
-  EXPECT_EQ(registry.counter("dust_util_log_debug_total").value(), 0u);
-  // Detached: further lines are not counted.
-  DUST_LOG_ERROR << "after detach";
-  EXPECT_EQ(registry.counter("dust_util_log_error_total").value(), 1u);
-}
-
 TEST_F(RegistryTest, PrometheusExportFormat) {
   registry.counter("dust_x_total").inc(3);
   registry.histogram("dust_y_ms").observe(1.5);
@@ -254,26 +233,6 @@ TEST_F(RegistryTest, TableExportListsEveryMetric) {
 
 TEST_F(RegistryTest, GlobalRegistryIsSingleton) {
   EXPECT_EQ(&MetricRegistry::global(), &MetricRegistry::global());
-}
-
-TEST_F(RegistryTest, PoolMetricsBridgeCountsChunkRegions) {
-  attach_pool_metrics(registry);
-  const std::uint64_t tasks_before =
-      registry.counter("dust_pool_tasks_total").value();
-  util::ThreadPool pool(2);
-  pool.parallel_for_chunks(32, 4, 0, [](std::size_t, std::size_t) {});
-  detach_pool_metrics();
-  EXPECT_EQ(registry.counter("dust_pool_tasks_total").value() - tasks_before,
-            8u);  // 32 indices / 4-wide chunks
-  // Steals are scheduling-dependent; the bridge must mirror the pool's own
-  // cumulative tally for this fresh pool.
-  EXPECT_EQ(registry.counter("dust_pool_steal_total").value(),
-            pool.chunk_steals());
-
-  // Detached: further regions no longer reach the registry.
-  const std::uint64_t after = registry.counter("dust_pool_tasks_total").value();
-  pool.parallel_for_chunks(8, 4, 0, [](std::size_t, std::size_t) {});
-  EXPECT_EQ(registry.counter("dust_pool_tasks_total").value(), after);
 }
 
 }  // namespace

@@ -82,6 +82,26 @@ TEST(SnapshotCodec, CleanRegistryEncodesNothingAndLeavesBufferAlone) {
   EXPECT_EQ(buffer, (std::vector<std::uint8_t>{0xCC}));
 }
 
+TEST(SnapshotCodec, OverlongNamesTruncateAtTheLengthPrefix) {
+  // The wire codec throws on a string past the u16 prefix; the snapshot
+  // codec truncates instead, so an over-long name never stops a node from
+  // answering scrapes.
+  const std::string long_name(0x10000 + 7, 'm');
+  MetricRegistry registry;
+  registry.counter(long_name).inc(3);
+  record_instant(registry, long_name, "node-x", {}, 0);
+
+  SnapshotEncoder encoder(registry);
+  std::vector<std::uint8_t> buffer;
+  const SnapshotDelta delta = roundtrip(encoder, 0, buffer);
+  ASSERT_EQ(delta.defs.size(), 1u);
+  EXPECT_EQ(delta.defs[0].name, long_name.substr(0, 0xFFFF));
+  ASSERT_EQ(delta.counters.size(), 1u);
+  EXPECT_EQ(delta.counters[0].delta, 3u);
+  ASSERT_EQ(delta.spans.size(), 1u);
+  EXPECT_EQ(delta.spans[0].name, long_name.substr(0, 0xFFFF));
+}
+
 TEST(SnapshotCodec, UnackedDeltasAreCumulativeNeverDoubleApplied) {
   MetricRegistry registry;
   Counter& ticks = registry.counter("ticks_total");

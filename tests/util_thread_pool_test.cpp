@@ -112,18 +112,8 @@ TEST(ThreadPool, ParallelForChunksSingleWorkerIsAscendingSerial) {
 TEST(ThreadPool, ParallelForChunksCountsChunksAndReportsToObserver) {
   ThreadPool pool(2);
   const std::uint64_t tasks_before = pool.chunk_tasks();
-  std::uint64_t observed_chunks = 0;
-  std::uint64_t observed_steals = 0;
-  set_pool_observer([&](std::uint64_t chunks, std::uint64_t steals) {
-    observed_chunks += chunks;
-    observed_steals += steals;
-  });
   pool.parallel_for_chunks(64, 8, 0, [](std::size_t, std::size_t) {});
-  set_pool_observer(nullptr);
   EXPECT_EQ(pool.chunk_tasks() - tasks_before, 8u);
-  EXPECT_EQ(observed_chunks, 8u);
-  // Steals depend on scheduling; the observer just mirrors the pool counter.
-  EXPECT_EQ(observed_steals, pool.chunk_steals());
 }
 
 TEST(ThreadPool, ParallelForChunksRethrowsChunkException) {

@@ -14,8 +14,11 @@
 #include "core/client.hpp"
 #include "core/manager.hpp"
 #include "core/messages.hpp"
+#include "obs/aggregator.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "wire/demo_scenario.hpp"
+#include "wire/obs_scrape.hpp"
 
 namespace dust {
 namespace {
@@ -205,16 +208,16 @@ TEST(WireSocket, LeafReconnectsAndRedeliversQueuedFrames) {
 
 TEST(WireSocket, FederationFramesRouteToFederationHandler) {
   // Two shard managers on separate leaves; delegation frames cross the hub
-  // and land on the peer's federation handler, never on the envelope path.
+  // and land on the peer's frame endpoint, never on the envelope path.
   SocketTransport hub(hub_config());
   SocketTransport left(leaf_config(hub.listen_port()));
   SocketTransport right(leaf_config(hub.listen_port()));
 
   left.register_endpoint("dust-fed-0", [](const sim::Envelope&) {});
-  right.register_endpoint("dust-fed-1", [](const sim::Envelope&) {});
   std::vector<wire::Frame> at_right;
-  right.set_federation_handler(
-      [&](wire::Frame&& frame) { at_right.push_back(std::move(frame)); });
+  right.register_frame_endpoint("dust-fed-1", [&](wire::Frame&& frame) {
+    at_right.push_back(std::move(frame));
+  });
 
   ASSERT_TRUE(pump_until({&hub, &left, &right},
                          [&] { return hub.peer_count() == 2; }));
@@ -235,12 +238,12 @@ TEST(WireSocket, FederationFramesRouteToFederationHandler) {
   EXPECT_EQ(at_right.front().trace_id, 0x77u);
 
   // Same-process federation endpoints loop back through the codec and the
-  // same handler (the in-process multi-shard test topology).
+  // same kind of handler (the in-process multi-shard test topology).
   std::vector<wire::Frame> at_hub;
   hub.register_endpoint("dust-fed-2", [](const sim::Envelope&) {});
-  hub.register_endpoint("dust-fed-3", [](const sim::Envelope&) {});
-  hub.set_federation_handler(
-      [&](wire::Frame&& frame) { at_hub.push_back(std::move(frame)); });
+  hub.register_frame_endpoint("dust-fed-3", [&](wire::Frame&& frame) {
+    at_hub.push_back(std::move(frame));
+  });
   wire::CapacityDigestBody digest;
   digest.shard = 2;
   digest.epoch = 1;
@@ -251,6 +254,89 @@ TEST(WireSocket, FederationFramesRouteToFederationHandler) {
   ASSERT_EQ(at_hub.size(), 1u);
   EXPECT_EQ(at_hub.front().type, wire::FrameType::kCapacityDigest);
   EXPECT_EQ(at_hub.front().capacity_digest.spare, 9.0);
+}
+
+TEST(WireSocket, FrameEndpointsShareOneTransport) {
+  // Every frame goes to the endpoint it names, so one transport hosts any
+  // number of responders, scrapers and federation endpoints.
+  SocketTransport hub(hub_config());
+  SocketTransport leaf(leaf_config(hub.listen_port()));
+
+  obs::MetricRegistry registry_a;
+  obs::MetricRegistry registry_b;
+  registry_a.counter("a_total").inc(1);
+  registry_b.counter("b_total").inc(2);
+  obs::Aggregator aggregator;
+  wire::ObsScraper scraper(hub, aggregator, "dust-obs-scraper");
+  auto responder_a =
+      std::make_unique<wire::ObsResponder>(leaf, "node-a", registry_a);
+  wire::ObsResponder responder_b(leaf, "node-b", registry_b);
+  ASSERT_TRUE(pump_until({&hub, &leaf}, [&] {
+    return hub.remote_endpoint_names(wire::kObsEndpointPrefix).size() == 2;
+  }));
+
+  // Each responder answers its own scrape; the aggregator lists both nodes.
+  ASSERT_EQ(scraper.scrape(0), 2u);
+  ASSERT_TRUE(pump_until({&hub, &leaf},
+                         [&] { return scraper.snapshots_applied() == 2; }));
+  EXPECT_EQ(responder_a->snapshots_sent(), 1u);
+  EXPECT_EQ(responder_b.snapshots_sent(), 1u);
+  EXPECT_EQ(aggregator.nodes().size(), 2u);
+  EXPECT_EQ(aggregator.counter_value("node-a", "a_total"), 1u);
+  EXPECT_EQ(aggregator.counter_value("node-b", "b_total"), 2u);
+
+  // Destroying one responder leaves the other answering.
+  responder_a.reset();
+  registry_b.counter("b_total").inc(3);
+  scraper.scrape(1);
+  ASSERT_TRUE(pump_until({&hub, &leaf},
+                         [&] { return scraper.snapshots_applied() == 3; }));
+  EXPECT_EQ(responder_b.snapshots_sent(), 2u);
+  EXPECT_EQ(aggregator.counter_value("node-b", "b_total"), 5u);
+
+  // Two federation endpoints on one hub each receive only their own frames,
+  // from a remote leaf and from the hub itself alike.
+  std::vector<wire::Frame> at_0;
+  std::vector<wire::Frame> at_1;
+  hub.register_frame_endpoint("dust-fed-0", [&](wire::Frame&& frame) {
+    at_0.push_back(std::move(frame));
+  });
+  hub.register_frame_endpoint("dust-fed-1", [&](wire::Frame&& frame) {
+    at_1.push_back(std::move(frame));
+  });
+  wire::DelegateRequestBody request;
+  request.shard = 2;
+  request.delegation_id = 11;
+  ASSERT_TRUE(leaf.send_frame(
+      wire::delegate_request_frame("dust-fed-2", "dust-fed-0", request)));
+  wire::CapacityDigestBody digest;
+  digest.shard = 2;
+  digest.spare = 4.0;
+  ASSERT_TRUE(leaf.send_frame(
+      wire::capacity_digest_frame("dust-fed-2", "dust-fed-1", digest)));
+  wire::ShardHelloBody hello;
+  hello.shard = 0;
+  ASSERT_TRUE(hub.send_frame(
+      wire::shard_hello_frame("dust-fed-0", "dust-fed-1", hello)));
+  ASSERT_TRUE(pump_until({&hub, &leaf},
+                         [&] { return at_0.size() + at_1.size() == 3; }));
+  ASSERT_EQ(at_0.size(), 1u);
+  EXPECT_EQ(at_0[0].type, wire::FrameType::kDelegateRequest);
+  EXPECT_EQ(at_0[0].delegate_request.delegation_id, 11u);
+  ASSERT_EQ(at_1.size(), 2u);
+  for (const wire::Frame& frame : at_1) EXPECT_EQ(frame.to, "dust-fed-1");
+
+  // A non-message frame addressed to a protocol endpoint is dropped as
+  // no_endpoint; the envelope handler never sees it.
+  int envelopes = 0;
+  hub.register_endpoint("dust-manager",
+                        [&](const sim::Envelope&) { ++envelopes; });
+  const std::uint64_t dropped_before = hub.dropped();
+  ASSERT_TRUE(hub.send_frame(
+      wire::shard_hello_frame("dust-fed-0", "dust-manager", hello)));
+  hub.poll_once(0);
+  EXPECT_EQ(envelopes, 0);
+  EXPECT_EQ(hub.dropped(), dropped_before + 1);
 }
 
 TEST(WireSocket, ReconnectListenerFramesOutrunTheStaleBacklog) {
