@@ -16,8 +16,7 @@ DustClient::DustClient(sim::Simulator& sim, sim::TransportBase& transport,
       config_(config),
       rng_(rng),
       device_(device),
-      track_("client-" + std::to_string(node)),
-      endpoint_(client_endpoint(node)) {
+      track_("client-" + std::to_string(node)) {
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   metrics_.tx_offload_capable =
       &registry.counter("dust_core_tx_offload_capable_total");
@@ -29,20 +28,26 @@ DustClient::DustClient(sim::Simulator& sim, sim::TransportBase& transport,
       &registry.counter("dust_core_tx_agent_transfer_total");
   metrics_.tx_telemetry_data =
       &registry.counter("dust_core_tx_telemetry_data_total");
+  const std::string endpoint = client_endpoint(node);
   endpoint_token_ = transport_->register_endpoint(
-      endpoint_,
-      [this](const sim::Envelope& envelope) { handle(envelope); });
+      endpoint, [this](const sim::Envelope& envelope) { handle(envelope); });
+  endpoint_id_ = transport_->resolve(endpoint);
+  manager_id_ = transport_->resolve(config_.manager);
+}
+
+sim::EndpointId DustClient::peer_id(graph::NodeId node) {
+  return transport_->resolve(client_endpoint(node));
 }
 
 DustClient::~DustClient() {
   // Token-scoped: if another client re-registered this node's endpoint
   // (e.g. a replacement instance), leave the new registration in place.
-  transport_->unregister_endpoint(endpoint_, endpoint_token_);
+  transport_->unregister_endpoint(client_endpoint(node_), endpoint_token_);
 }
 
 void DustClient::start() {
   metrics_.tx_offload_capable->inc();
-  transport_->send(endpoint_, config_.manager,
+  transport_->send(endpoint_id_, manager_id_,
                    Message{OffloadCapableMsg{node_, config_.offload_capable,
                                              config_.platform_factor}},
                    sim::Priority::kNormal, "offload_capable");
@@ -51,7 +56,7 @@ void DustClient::start() {
 void DustClient::rehome() {
   if (failed_) return;
   metrics_.tx_offload_capable->inc();
-  transport_->send(endpoint_, config_.manager,
+  transport_->send(endpoint_id_, manager_id_,
                    Message{OffloadCapableMsg{node_, config_.offload_capable,
                                              config_.platform_factor}},
                    sim::Priority::kNormal, "offload_capable");
@@ -87,7 +92,7 @@ void DustClient::set_byzantine(const ByzantineBehavior& behavior) {
         if (failed_ || byzantine_.flap_period_ms <= 0) return;
         metrics_.tx_offload_capable->inc();
         transport_->send(
-            endpoint_, config_.manager,
+            endpoint_id_, manager_id_,
             Message{OffloadCapableMsg{node_, config_.offload_capable,
                                       config_.platform_factor}},
             sim::Priority::kNormal, "offload_capable");
@@ -131,7 +136,7 @@ void DustClient::send_stat() {
   // cause nothing, and this path runs once per node per update interval).
   stat.trace = obs::enabled() ? obs::new_trace() : obs::TraceContext{};
   metrics_.tx_stat->inc();
-  transport_->send(endpoint_, config_.manager, Message{stat},
+  transport_->send(endpoint_id_, manager_id_, Message{stat},
                    sim::Priority::kNormal, "stat", stat.trace.trace_id);
 }
 
@@ -141,7 +146,7 @@ void DustClient::publish_snapshot(const telemetry::DeviceSnapshot& snapshot) {
     metrics_.tx_telemetry_data->inc();
     Message message{TelemetryDataMsg{node_, snapshot}};
     const sim::Priority priority = message_priority(message);
-    transport_->send(endpoint_, client_endpoint(outbound.destination),
+    transport_->send(endpoint_id_, peer_id(outbound.destination),
                      std::move(message), priority, "telemetry_data");
   }
 }
@@ -178,7 +183,7 @@ std::vector<graph::NodeId> DustClient::hosting_destinations() const {
 
 void DustClient::handle(const sim::Envelope& envelope) {
   if (failed_) return;
-  const Message* message = std::any_cast<Message>(&envelope.payload);
+  const Message* message = envelope.payload.get_if<Message>();
   if (message == nullptr) {
     DUST_LOG_WARN << "client " << node_ << ": non-protocol payload";
     return;
@@ -228,7 +233,7 @@ void DustClient::on_offload_request(const OffloadRequestMsg& msg) {
   const obs::TraceContext ack_ctx = obs::record_instant(
       registry, "offload_ack", track_, msg.trace, sim_->now());
   metrics_.tx_offload_ack->inc();
-  transport_->send(endpoint_, config_.manager,
+  transport_->send(endpoint_id_, manager_id_,
                    Message{OffloadAckMsg{msg.request_id, node_, true, ack_ctx}},
                    sim::Priority::kNormal, "offload_ack", ack_ctx.trace_id);
   if (duplicate) return;
@@ -261,7 +266,7 @@ void DustClient::on_offload_request(const OffloadRequestMsg& msg) {
                                        msg.trace, sim_->now());
   metrics_.tx_agent_transfer->inc();
   const std::uint64_t transfer_trace = transfer.trace.trace_id;
-  transport_->send(endpoint_, client_endpoint(msg.destination),
+  transport_->send(endpoint_id_, peer_id(msg.destination),
                    Message{std::move(transfer)}, sim::Priority::kNormal,
                    "agent_transfer", transfer_trace);
 }
@@ -304,11 +309,11 @@ void DustClient::on_rep(const RepMsg& msg) {
   it->destination = msg.replacement;
   metrics_.tx_offload_ack->inc();
   metrics_.tx_agent_transfer->inc();
-  transport_->send(endpoint_, config_.manager,
+  transport_->send(endpoint_id_, manager_id_,
                    Message{OffloadAckMsg{msg.request_id, node_, true, ack_ctx}},
                    sim::Priority::kNormal, "offload_ack", ack_ctx.trace_id);
   const std::uint64_t transfer_trace = transfer.trace.trace_id;
-  transport_->send(endpoint_, client_endpoint(msg.replacement),
+  transport_->send(endpoint_id_, peer_id(msg.replacement),
                    Message{std::move(transfer)}, sim::Priority::kNormal,
                    "agent_transfer", transfer_trace);
 }
@@ -348,7 +353,7 @@ void DustClient::ensure_keepalive_task() {
         if (failed_ || hosted_.empty() || flap_suppressed()) return;
         ++keepalives_sent_;
         metrics_.tx_keepalive->inc();
-        transport_->send(endpoint_, config_.manager,
+        transport_->send(endpoint_id_, manager_id_,
                          Message{KeepaliveMsg{node_, keepalive_seq_++}},
                          sim::Priority::kNormal, "keepalive");
       });

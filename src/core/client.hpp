@@ -165,6 +165,9 @@ class DustClient {
     obs::Counter* tx_telemetry_data = nullptr;
   };
 
+  /// Transport id of another client's endpoint (offload peers).
+  sim::EndpointId peer_id(graph::NodeId node);
+
   sim::Simulator* sim_;
   sim::TransportBase* transport_;
   graph::NodeId node_;
@@ -173,7 +176,10 @@ class DustClient {
   sim::MonitoredNode* device_;
   Metrics metrics_;
   std::string track_;  ///< span track label ("client-<node>"), precomputed
-  std::string endpoint_;  ///< client_endpoint(node_), built once
+  /// client_endpoint(node_) and config_.manager, resolved once on the
+  /// transport.
+  sim::EndpointId endpoint_id_ = 0;
+  sim::EndpointId manager_id_ = 0;
   obs::TraceContext last_host_trace_{};  ///< see last_host_trace()
 
   bool acknowledged_ = false;

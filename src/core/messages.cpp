@@ -1,6 +1,11 @@
 #include "core/messages.hpp"
 
+#include "sim/payload.hpp"
+
 namespace dust::core {
+
+// Every protocol message rides a transport inline, with no allocation.
+static_assert(sim::Payload::stores_inline<Message>);
 
 std::string manager_endpoint() { return "dust-manager"; }
 

@@ -10,6 +10,11 @@
 // shrunk repro (DESIGN.md §10); `write_flight_text` renders the ring as a
 // human-readable timeline.
 //
+// Message hops (tx/rx/drop), the bulk of the events, are recorded without
+// text: record_hop() stores the two endpoint label ids (intern_hop_label),
+// the message kind inline and the drop cause as an enum, and snapshot()
+// renders the detail "[<cause>: ]<kind> <from>><to>" on read.
+//
 // Concurrency: record() claims a sequence number with one fetch_add, writes
 // the event payload as relaxed per-word atomic stores, then publishes the
 // slot with a release store of seq+1. snapshot() validates each slot's
@@ -56,6 +61,30 @@ enum class FlightEventKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FlightEventKind kind) noexcept;
 
+/// Why a message hop was dropped (the prefix of a kMessageDrop detail);
+/// kNone for tx and rx hops.
+enum class DropCause : std::uint8_t {
+  kNone,
+  kLoss,         ///< "loss": the transport's loss draw
+  kPartition,    ///< "partition": destination partitioned
+  kCongestion,   ///< "congestion": kLow traffic under congestion
+  kNoEndpoint,   ///< "no_endpoint": nobody registered under the name
+  kQueueFull,    ///< "queue_full": shed at a socket's outbound cap
+};
+
+[[nodiscard]] const char* to_string(DropCause cause) noexcept;
+
+/// Id of one endpoint label in the process-wide hop label table.
+using HopLabel = std::uint32_t;
+
+/// Intern the text hop details show for an endpoint ("M", "c3", or a full
+/// endpoint name) together with the node id its hop events report
+/// (FlightEvent::kNoNode for none). Takes a lock, so transports call it once
+/// per endpoint, not per message. Ids are never reused; an equal (text,
+/// node) pair returns the same id.
+[[nodiscard]] HopLabel intern_hop_label(std::string_view text,
+                                        std::int32_t node);
+
 struct FlightEvent {
   static constexpr std::size_t kDetailCapacity = 32;  ///< incl. NUL
   static constexpr std::int32_t kNoNode = -1;
@@ -92,6 +121,16 @@ class FlightRecorder {
            detail);
   }
 
+  /// One message hop (kMessageTx / kMessageRx / kMessageDrop), recorded
+  /// without formatting: node and peer come from the `from` / `to` labels,
+  /// and the detail reads "[<cause>: ]<message_kind> <from>><to>" ("?" for
+  /// an empty kind), cut like any detail. No-op while obs::enabled() is
+  /// false; lock-free and allocation-free.
+  void record_hop(FlightEventKind kind, std::int64_t sim_ms,
+                  std::uint64_t trace_id, HopLabel from, HopLabel to,
+                  std::string_view message_kind,
+                  DropCause cause = DropCause::kNone) noexcept;
+
   /// All currently held events, oldest first. Slots a writer was mutating
   /// during the copy are skipped.
   [[nodiscard]] std::vector<FlightEvent> snapshot() const;
@@ -113,16 +152,22 @@ class FlightRecorder {
   static FlightRecorder& global();
 
  private:
-  // An event is serialized into fixed 64-bit words so every payload access
-  // is an atomic word op (see header comment). kWords covers the packed
-  // FlightEvent exactly.
-  static constexpr std::size_t kWords =
-      (sizeof(FlightEvent) + sizeof(std::uint64_t) - 1) /
-      sizeof(std::uint64_t);
+  // An event is stored as fixed 64-bit words so every payload access is an
+  // atomic word op (see header comment): seq, kind | format << 8 | cause <<
+  // 16, sim_ms, trace_id, then either node | peer << 32, value and the 32
+  // detail bytes (a text event) or from | to << 32, an unused word and the
+  // message kind's first 31 chars (a hop event).
+  static constexpr std::size_t kWords = 10;
+  static constexpr std::size_t kTextWords = 4;
+  static_assert(FlightEvent::kDetailCapacity == kTextWords * 8);
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};  ///< seq + 1 once published
     std::array<std::atomic<std::uint64_t>, kWords> words{};
   };
+
+  /// Claim a sequence number, write `words` (words[0] is set to the seq)
+  /// and publish the slot.
+  void publish(std::uint64_t (&words)[kWords]) noexcept;
 
   std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace dust::obs {
@@ -28,11 +29,26 @@ double HistogramSnapshot::quantile(double q) const noexcept {
   return max;
 }
 
+namespace detail {
+
+std::uint64_t claim_thread_token() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  t_thread_token = next.fetch_add(1, std::memory_order_relaxed);
+  return t_thread_token;
+}
+
+}  // namespace detail
+
 int Histogram::bucket_index(double v) noexcept {
   if (!(v > 0.0)) return 0;  // also catches NaN
-  int exp = 0;
-  std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1) => v <= 2^exp
-  return std::clamp(exp - kMinExp, 0, kBuckets - 1);
+  // v = 1.f * 2^e: the smallest k with v <= 2^k is e, plus one unless v is
+  // an exact power of two (f == 0). Subnormals clamp into bucket 0 and
+  // infinity into the top bucket.
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+  const int exp = static_cast<int>(bits >> 52) - 1023;
+  const int ceil_log2 = exp + ((bits & kFraction) != 0 ? 1 : 0);
+  return std::clamp(ceil_log2 - kMinExp, 0, kBuckets - 1);
 }
 
 double Histogram::bucket_upper(int index) noexcept {
@@ -41,20 +57,20 @@ double Histogram::bucket_upper(int index) noexcept {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.count = count();
+  snap.sum = sum();
   if (snap.count == 0) {
     snap.min = snap.max = 0.0;
   } else {
-    snap.min = min_.load(std::memory_order_relaxed);
-    snap.max = max_.load(std::memory_order_relaxed);
+    snap.min = observed_min();
+    snap.max = observed_max();
   }
   // Trim trailing empty buckets; keep leading ones so cumulative counts in
   // the Prometheus exporter stay simple.
   int last_nonzero = -1;
   std::uint64_t counts[kBuckets];
   for (int i = 0; i < kBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    counts[i] = bucket_count(i);
     if (counts[i] > 0) last_nonzero = i;
   }
   snap.buckets.reserve(static_cast<std::size_t>(last_nonzero + 1));
@@ -63,14 +79,19 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap;
 }
 
+void Histogram::Cell::reset() noexcept {
+  for (auto& bucket : buckets) bucket.store(0, std::memory_order_relaxed);
+  count.store(0, std::memory_order_relaxed);
+  sum.store(0.0, std::memory_order_relaxed);
+  min.store(std::numeric_limits<double>::infinity(),
+            std::memory_order_relaxed);
+  max.store(-std::numeric_limits<double>::infinity(),
+            std::memory_order_relaxed);
+}
+
 void Histogram::reset() noexcept {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
+  owned_.reset();
+  shared_.reset();
 }
 
 const CounterSnapshot* RegistrySnapshot::find_counter(

@@ -7,29 +7,27 @@
 // this transport, including Keepalive loss -> replica substitution.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/payload.hpp"
 #include "sim/priority.hpp"
 #include "util/rng.hpp"
-
-namespace dust::obs {
-enum class FlightEventKind : std::uint8_t;
-}  // namespace dust::obs
 
 namespace dust::sim {
 
 struct Envelope {
   std::string from;
   std::string to;
-  std::any payload;
+  Payload payload;
   Priority priority = Priority::kNormal;
   // Observability passengers (appended — aggregate initializers above keep
   // working). `kind` is a short message label ("stat", "offload_request");
@@ -38,6 +36,11 @@ struct Envelope {
   std::string kind;
   std::uint64_t trace_id = 0;
 };
+
+/// Dense id of an endpoint name interned by TransportBase::resolve(). Ids
+/// belong to the transport that handed them out, are never reused, and stay
+/// valid for its lifetime whether or not the name is registered.
+using EndpointId = std::uint32_t;
 
 /// The transport surface the protocol state machines (core::DustManager,
 /// core::DustClient) program against: named endpoints with token-scoped
@@ -62,12 +65,26 @@ class TransportBase {
                                    std::uint64_t token) = 0;
   [[nodiscard]] virtual bool has_endpoint(const std::string& name) const = 0;
 
-  /// Queue delivery of `payload` to `to`. `kind` and `trace_id` are
-  /// observability-only passengers; `priority` is the §III-C QoS class and
-  /// MUST survive to the receiver's Envelope verbatim.
-  virtual void send(const std::string& from, const std::string& to,
-                    std::any payload, Priority priority = Priority::kNormal,
-                    std::string kind = {}, std::uint64_t trace_id = 0) = 0;
+  /// Intern `name` and return its id; the same name always resolves to the
+  /// same id. Senders resolve their peers once and send by id, so the
+  /// per-message path hashes no strings.
+  virtual EndpointId resolve(const std::string& name) = 0;
+
+  /// Queue delivery of `payload` from `from` to `to` (resolved ids). `kind`
+  /// and `trace_id` are observability-only passengers; `priority` is the
+  /// §III-C QoS class and MUST survive to the receiver's Envelope verbatim.
+  virtual void send(EndpointId from, EndpointId to, Payload payload,
+                    Priority priority = Priority::kNormal,
+                    std::string_view kind = {},
+                    std::uint64_t trace_id = 0) = 0;
+
+  /// send() by name: resolves both ends, then sends by id.
+  void send(const std::string& from, const std::string& to, Payload payload,
+            Priority priority = Priority::kNormal, std::string_view kind = {},
+            std::uint64_t trace_id = 0) {
+    const EndpointId source = resolve(from);
+    send(source, resolve(to), std::move(payload), priority, kind, trace_id);
+  }
 };
 
 class Transport : public TransportBase {
@@ -87,6 +104,7 @@ class Transport : public TransportBase {
   /// owner can never tear down a successor that re-registered the name.
   std::uint64_t register_endpoint(const std::string& name,
                                   Handler handler) override;
+  EndpointId resolve(const std::string& name) override;
   void unregister_endpoint(const std::string& name);
   void unregister_endpoint(const std::string& name,
                            std::uint64_t token) override;
@@ -99,7 +117,8 @@ class Transport : public TransportBase {
   /// Queue delivery of `payload` to `to` after the transport latency.
   /// Messages to unknown endpoints, lost messages, low-priority messages
   /// under congestion, and messages to partitioned endpoints are counted in
-  /// dropped().
+  /// dropped(). Throws std::out_of_range for an id this transport did not
+  /// hand out.
   ///
   /// Drop precedence is fixed at loss -> partition -> congestion: the random
   /// loss draw happens first on every send regardless of partition or
@@ -110,9 +129,10 @@ class Transport : public TransportBase {
   /// `kind` and `trace_id` are observability-only passengers: they label the
   /// flight-recorder events for this hop and ride in the Envelope, but never
   /// influence delivery.
-  void send(const std::string& from, const std::string& to, std::any payload,
-            Priority priority = Priority::kNormal, std::string kind = {},
+  void send(EndpointId from, EndpointId to, Payload payload,
+            Priority priority = Priority::kNormal, std::string_view kind = {},
             std::uint64_t trace_id = 0) override;
+  using TransportBase::send;
 
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
@@ -142,38 +162,45 @@ class Transport : public TransportBase {
   struct Endpoint {
     Handler handler;  ///< empty while unregistered
     std::uint64_t token = 0;
+    const std::string* name = nullptr;  ///< its key in ids_ (nodes are stable)
+    /// Flight-recorder identity: the short text hop details show ("M",
+    /// "c3", or the name itself) with the client node id (or kNoNode).
+    obs::HopLabel label = 0;
     bool partitioned = false;
-    /// Flight-recorder identity: the client node id (or kNoNode) and the
-    /// short label used in hop details ("M", "c3", or the name itself).
-    std::int32_t node = 0;
-    std::string label;
   };
   /// A message between send() and delivery. Slots are recycled through a
-  /// free list, so steady-state sends reuse their strings' capacity.
+  /// free list, so steady-state sends reuse the kind string's capacity.
   struct InFlight {
-    Envelope envelope;
-    std::uint32_t from = 0;  ///< interned ids of envelope.from / .to
-    std::uint32_t to = 0;
+    Payload payload;
+    std::string kind;
+    std::uint64_t trace_id = 0;
     TimeMs sent_at = 0;
+    EndpointId from = 0;
+    EndpointId to = 0;
     std::uint32_t next_free = 0;
+    Priority priority = Priority::kNormal;
     /// Its delivery event is in the simulator's queue (set once scheduled,
     /// cleared when delivery starts): a Simulator::clear() orphaned it.
     bool queued = false;
   };
 
-  std::uint32_t intern(const std::string& name);
   [[nodiscard]] Endpoint* find(const std::string& name);
   void deliver(std::uint32_t slot);
   /// Release the payload and put `slot` back on the free list.
   void free_slot(std::uint32_t slot) noexcept;
   /// Free every slot whose delivery event a Simulator::clear() dropped.
   void reclaim_cleared() noexcept;
-  void record_hop(obs::FlightEventKind event_kind, const std::string& kind,
-                  std::uint32_t from, std::uint32_t to,
-                  std::uint64_t trace_id, const char* cause) const;
+  /// The shared obs hop path, with this transport's labels and clock.
+  void hop(obs::FlightEventKind event, EndpointId from, EndpointId to,
+           std::string_view kind, std::uint64_t trace_id,
+           obs::DropCause cause = obs::DropCause::kNone) const noexcept {
+    obs::FlightRecorder::global().record_hop(
+        event, sim_->now(), trace_id, endpoints_[from].label,
+        endpoints_[to].label, kind, cause);
+  }
   /// Count a drop by `cause` (also the flight-recorder prefix).
-  void drop(obs::Counter* cause_counter, const char* cause,
-            const std::string& kind, std::uint32_t from, std::uint32_t to,
+  void drop(obs::Counter* cause_counter, obs::DropCause cause,
+            std::string_view kind, EndpointId from, EndpointId to,
             std::uint64_t trace_id);
 
   Simulator* sim_;
@@ -187,6 +214,12 @@ class Transport : public TransportBase {
   // Endpoint and InFlight are in use, and growth must not move them.
   std::deque<Endpoint> endpoints_;
   std::deque<InFlight> in_flight_;
+  /// The Envelope a handler sees, one per delivery nesting level (a handler
+  /// may run the simulator, which delivers again). Only messages being
+  /// delivered need names, so slots carry ids and these carry the strings,
+  /// reusing their capacity.
+  std::deque<Envelope> delivering_;
+  std::size_t delivery_depth_ = 0;
   std::uint32_t free_slot_ = kNoSlot;
   std::uint64_t clears_seen_ = 0;  ///< sim_->clears() at the last send
   std::uint64_t next_token_ = 1;

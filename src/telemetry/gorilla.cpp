@@ -196,6 +196,10 @@ std::vector<Sample> CompressedBlock::decode() const {
       if (reader.read_bit()) {
         leading = static_cast<unsigned>(reader.read_bits(6));
         const unsigned length = static_cast<unsigned>(reader.read_bits(6)) + 1;
+        // The encoder never writes a window wider than the word; one that
+        // is would make `trailing` wrap and the shift below undefined.
+        if (leading + length > 64)
+          throw std::runtime_error("CompressedBlock: corrupt XOR window");
         trailing = 64 - leading - length;
         value_bits ^= reader.read_bits(length) << trailing;
       } else {

@@ -5,10 +5,10 @@
 // historical Release bug: kLow control traffic) fails here by name.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/client.hpp"
@@ -35,10 +35,14 @@ class PriorityAuditTransport : public sim::TransportBase {
     return inner_.has_endpoint(name);
   }
 
-  void send(const std::string& from, const std::string& to, std::any payload,
-            sim::Priority priority, std::string kind,
+  sim::EndpointId resolve(const std::string& name) override {
+    return inner_.resolve(name);
+  }
+
+  void send(sim::EndpointId from, sim::EndpointId to, sim::Payload payload,
+            sim::Priority priority, std::string_view kind,
             std::uint64_t trace_id) override {
-    const auto* message = std::any_cast<Message>(&payload);
+    const auto* message = payload.get_if<Message>();
     ASSERT_NE(message, nullptr) << "non-Message payload from " << from;
     const char* expected_kind = message_kind(*message);
     EXPECT_EQ(priority, message_priority(*message))
@@ -47,8 +51,7 @@ class PriorityAuditTransport : public sim::TransportBase {
     EXPECT_EQ(kind, expected_kind)
         << "envelope kind mislabelled for " << expected_kind;
     ++kinds_seen_[expected_kind];
-    inner_.send(from, to, std::move(payload), priority, std::move(kind),
-                trace_id);
+    inner_.send(from, to, std::move(payload), priority, kind, trace_id);
   }
 
   [[nodiscard]] const std::map<std::string, std::size_t>& kinds_seen() const {

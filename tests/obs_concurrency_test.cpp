@@ -8,12 +8,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dust::obs {
 namespace {
@@ -119,6 +121,62 @@ TEST(ObsConcurrency, FlightRecorderAbsorbsConcurrentWritersAndSnapshots) {
   EXPECT_EQ(events.size(), recorder.capacity());
   for (const FlightEvent& event : events)
     EXPECT_STREQ(event.detail, "payload");
+}
+
+// The owner-cell write path: the first thread to write a counter or a
+// histogram owns its owner cell and updates it with a plain load+store;
+// every other thread adds into the shared cell with atomic RMW. Here a
+// util::ThreadPool worker takes ownership, then keeps writing while three
+// other threads hammer the same two metrics. Every value is an integer well
+// below 2^53, so the sums are exact in any order.
+TEST(ObsConcurrency, OwnerCellAndSharedCellAddUpExactly) {
+  set_enabled(true);
+  MetricRegistry registry;
+  Counter& counter = registry.counter("owner_total");
+  Histogram& hist = registry.histogram("owner_ms");
+  util::ThreadPool pool(1);
+  pool.submit([&] {
+        counter.inc();
+        hist.observe(64.0);
+      }).get();
+
+  std::atomic<bool> go{false};
+  const auto hammer = [&](int writer) {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (int i = 0; i < kOpsPerWriter; ++i) {
+      counter.inc(static_cast<std::uint64_t>(writer + 1));
+      hist.observe(static_cast<double>(i % 128));
+    }
+    // One extreme per non-owner writer, so min and max come from the
+    // shared cell while the owner cell holds the bulk.
+    if (writer == 1) hist.observe(-5.0);
+    if (writer == 2) hist.observe(1e6);
+  };
+  std::future<void> owner = pool.submit([&] { hammer(0); });
+  std::vector<std::thread> others;
+  for (int w = 1; w < kWriters; ++w) others.emplace_back(hammer, w);
+  go.store(true, std::memory_order_release);
+  owner.get();
+  for (std::thread& t : others) t.join();
+
+  std::uint64_t expected_total = 1;
+  for (int w = 0; w < kWriters; ++w)
+    expected_total += static_cast<std::uint64_t>(w + 1) * kOpsPerWriter;
+  EXPECT_EQ(counter.value(), expected_total);
+
+  double per_writer_sum = 0.0;
+  for (int i = 0; i < kOpsPerWriter; ++i) per_writer_sum += i % 128;
+  const std::uint64_t observations =
+      1 + static_cast<std::uint64_t>(kWriters) * kOpsPerWriter + 2;
+  EXPECT_EQ(hist.count(), observations);
+  EXPECT_EQ(hist.sum(), 64.0 + kWriters * per_writer_sum - 5.0 + 1e6);
+  EXPECT_EQ(hist.observed_min(), -5.0);
+  EXPECT_EQ(hist.observed_max(), 1e6);
+  const HistogramSnapshot snap = hist.snapshot();
+  std::uint64_t bucketed = 0;
+  for (const BucketSnapshot& bucket : snap.buckets) bucketed += bucket.count;
+  EXPECT_EQ(bucketed, observations);
+  EXPECT_EQ(snap.count, observations);
 }
 
 }  // namespace

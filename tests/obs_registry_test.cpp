@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -208,6 +209,51 @@ TEST_F(RegistryTest, PrometheusExportFormat) {
   EXPECT_NE(text.find("# TYPE dust_y_ms histogram"), std::string::npos);
   EXPECT_NE(text.find("dust_y_ms_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("dust_y_ms_count 1"), std::string::npos);
+}
+
+// Bucket i covers (2^(i-1+kMinExp), 2^(i+kMinExp)]: an exact power of two
+// belongs to the bucket it bounds, the next double above it to the next one.
+TEST_F(RegistryTest, ExactPowersOfTwoLandInTheBucketTheyBound) {
+  for (int index = 0; index < Histogram::kBuckets; ++index) {
+    const double bound = std::ldexp(1.0, index + Histogram::kMinExp);
+    EXPECT_EQ(Histogram::bucket_upper(index), bound);
+    EXPECT_EQ(Histogram::bucket_index(bound), index) << "2^" << index;
+    EXPECT_EQ(Histogram::bucket_index(std::nextafter(bound, 0.0)), index)
+        << "just below 2^" << index;
+    if (index + 1 < Histogram::kBuckets)
+      EXPECT_EQ(Histogram::bucket_index(
+                    bound * (1.0 + std::numeric_limits<double>::epsilon())),
+                index + 1)
+          << "2^" << index << "(1+eps)";
+  }
+  EXPECT_EQ(Histogram::bucket_index(std::ldexp(1.0, Histogram::kMinExp - 5)),
+            0);
+  EXPECT_EQ(Histogram::bucket_index(std::numeric_limits<double>::denorm_min()),
+            0);
+  EXPECT_EQ(Histogram::bucket_index(std::ldexp(1.0, 60)),
+            Histogram::kBuckets - 1);
+  EXPECT_EQ(Histogram::bucket_index(std::numeric_limits<double>::infinity()),
+            Histogram::kBuckets - 1);
+}
+
+// A 1 ms sim delivery is exported under le="1", not first under le="2".
+TEST_F(RegistryTest, PrometheusLeLineCountsItsExactBound) {
+  Histogram& h = registry.histogram("dust_z_ms");
+  h.observe(1.0);
+  h.observe(1.0);
+  h.observe(2.0);
+  h.observe(2.5);
+  std::ostringstream os;
+  write_prometheus(registry.snapshot(), os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("dust_z_ms_bucket{le=\"0.5\"} 0\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dust_z_ms_bucket{le=\"1\"} 2\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dust_z_ms_bucket{le=\"2\"} 3\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dust_z_ms_bucket{le=\"4\"} 4\n"), std::string::npos)
+      << text;
 }
 
 TEST_F(RegistryTest, JsonlExportContainsMetrics) {

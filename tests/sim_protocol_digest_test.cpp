@@ -96,11 +96,13 @@ class DigestTransport final : public sim::TransportBase {
   bool has_endpoint(const std::string& name) const override {
     return inner_->has_endpoint(name);
   }
-  void send(const std::string& from, const std::string& to, std::any payload,
-            sim::Priority priority, std::string kind,
+  sim::EndpointId resolve(const std::string& name) override {
+    return inner_->resolve(name);
+  }
+  void send(sim::EndpointId from, sim::EndpointId to, sim::Payload payload,
+            sim::Priority priority, std::string_view kind,
             std::uint64_t trace_id) override {
-    inner_->send(from, to, std::move(payload), priority, std::move(kind),
-                 trace_id);
+    inner_->send(from, to, std::move(payload), priority, kind, trace_id);
   }
 
   Digest deliveries;
